@@ -1,23 +1,19 @@
-// A/B measurement of the prepared-problem analysis kernel (ISSUE 2
-// acceptance bench): multi-scenario candidate evaluation on the DT-med
-// (dream) and DT-large benchmarks, same candidates in every arm.
+// A/B measurement of the prepared-problem analysis kernel: multi-scenario
+// candidate evaluation on the DT-med (dream) and DT-large benchmarks, same
+// candidates in every arm.
 //
 //   rebuild+sweep      the seed path: every scenario rebuilds the holistic
-//                      problem from scratch and runs the full-sweep global
-//                      fixed point (Options{prepared_kernel = false,
-//                      worklist_fixed_point = false});
-//   rebuild+worklist   per-scenario rebuild, change-driven worklist fixed
-//                      point — isolates the fixed-point gain;
-//   prepared+worklist  one PreparedProblem per candidate shared by the
-//                      normal state, the Naive pass, and every transition
-//                      scenario — isolates the prepare-once gain on top
-//                      (warm-start and batching disabled: the ISSUE 2
-//                      baseline, every scenario solved cold and scalar);
-//   warm               prepared + warm-start: each scenario's worklist is
-//                      seeded from the Naive-pass trajectory, replaying
-//                      unaffected nodes — isolates the incremental gain;
-//   warm+batch         the default path: warm-start plus batched SoA
-//                      solving of the scenario fan-out.
+//                      problem from scratch (rebuild-per-solve adapter) and
+//                      runs the reference full-sweep global fixed point
+//                      (PreparedProblem::solve_reference_sweep);
+//   rebuild+worklist   per-scenario rebuild, production worklist fixed
+//                      point, one scenario per solve — isolates the
+//                      fixed-point gain;
+//   prepared           the production path: one PreparedProblem per
+//                      candidate shared by the normal state, the Naive pass,
+//                      and every transition scenario, scenarios solved as
+//                      lanes of solve_many() — isolates the prepare-once
+//                      and batching gain on top.
 //
 // Each arm runs McAnalysis::analyze (Algorithm 1, Proposed mode) over the
 // same seeded random candidates and reports the median of FTMC_REPS
@@ -45,6 +41,7 @@
 #include "ftmc/core/mc_analysis.hpp"
 #include "ftmc/dse/decoder.hpp"
 #include "ftmc/sched/holistic.hpp"
+#include "ftmc/sched/prepared_problem.hpp"
 #include "ftmc/util/rng.hpp"
 #include "ftmc/util/table.hpp"
 #include "ftmc/util/thread_pool.hpp"
@@ -85,6 +82,27 @@ std::vector<PreparedCandidate> make_candidates(
   return candidates;
 }
 
+/// The holistic backend without its prepared kernel: no prepare()
+/// override, so McAnalysis gets the rebuild-per-solve adapter and every
+/// scenario rebuilds the problem; `sweep` picks the reference full sweep
+/// over the production worklist.
+class RebuildBackend final : public sched::SchedulingAnalysis {
+ public:
+  explicit RebuildBackend(bool sweep) : sweep_(sweep) {}
+
+  sched::AnalysisResult analyze(
+      const model::Architecture& arch, const model::ApplicationSet& apps,
+      const model::Mapping& mapping, std::span<const sched::ExecBounds> bounds,
+      std::span<const std::uint32_t> priorities) const override {
+    const sched::PreparedProblem problem(arch, apps, mapping, priorities, {});
+    return sweep_ ? problem.solve_reference_sweep(bounds)
+                  : problem.solve(bounds);
+  }
+
+ private:
+  bool sweep_;
+};
+
 struct ArmOutcome {
   double seconds = 0.0;
   std::uint64_t checksum = 0;  ///< FNV-ish fold of every WCRT bound
@@ -93,7 +111,7 @@ struct ArmOutcome {
 
 ArmOutcome run_arm(const benchmarks::Benchmark& benchmark,
                    const std::vector<PreparedCandidate>& candidates,
-                   const sched::HolisticAnalysis& backend,
+                   const sched::SchedulingAnalysis& backend,
                    util::ThreadPool* pool) {
   const core::McAnalysis analysis(backend);
   ArmOutcome outcome;
@@ -116,7 +134,7 @@ ArmOutcome run_arm(const benchmarks::Benchmark& benchmark,
 
 ArmOutcome run_arm_median(const benchmarks::Benchmark& benchmark,
                           const std::vector<PreparedCandidate>& candidates,
-                          const sched::HolisticAnalysis& backend,
+                          const sched::SchedulingAnalysis& backend,
                           util::ThreadPool* pool, std::size_t reps) {
   std::vector<ArmOutcome> outcomes;
   for (std::size_t r = 0; r < reps; ++r)
@@ -243,21 +261,9 @@ int main(int argc, char** argv) {
             << reps << ", scenario threads " << (threads == 0 ? 1 : threads)
             << " (FTMC_CANDIDATES / FTMC_SEED / FTMC_THREADS / FTMC_REPS)\n";
 
-  sched::HolisticAnalysis::Options seed_options;
-  seed_options.prepared_kernel = false;
-  seed_options.worklist_fixed_point = false;
-  sched::HolisticAnalysis::Options rebuild_options;
-  rebuild_options.prepared_kernel = false;
-  sched::HolisticAnalysis::Options prepared_options;  // ISSUE 2 baseline
-  prepared_options.warm_start = false;
-  prepared_options.scenario_batch = 1;
-  sched::HolisticAnalysis::Options warm_options;
-  warm_options.scenario_batch = 1;
-  const sched::HolisticAnalysis seed_backend(seed_options);
-  const sched::HolisticAnalysis rebuild_backend(rebuild_options);
-  const sched::HolisticAnalysis prepared_backend(prepared_options);
-  const sched::HolisticAnalysis warm_backend(warm_options);
-  const sched::HolisticAnalysis warm_batch_backend;  // defaults: warm+batch
+  const RebuildBackend seed_backend(/*sweep=*/true);
+  const RebuildBackend rebuild_backend(/*sweep=*/false);
+  const sched::HolisticAnalysis prepared_backend;
 
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
@@ -266,9 +272,8 @@ int main(int argc, char** argv) {
       "Multi-scenario candidate evaluation: per-scenario rebuild + full "
       "sweep (seed) vs prepared kernel");
   table.set_header({"benchmark", "scenarios", "seed [s]", "worklist [s]",
-                    "prepared [s]", "warm [s]", "warm+batch [s]",
-                    "batch speedup", "total speedup", "scen/s",
-                    "identical"});
+                    "prepared [s]", "prepare speedup", "total speedup",
+                    "scen/s", "identical"});
 
   obs::Json json_benchmarks = obs::Json::array();
   bool all_identical = true;
@@ -286,26 +291,19 @@ int main(int argc, char** argv) {
         benchmark, candidates, rebuild_backend, pool.get(), reps);
     const ArmOutcome prepared_arm = run_arm_median(
         benchmark, candidates, prepared_backend, pool.get(), reps);
-    const ArmOutcome warm_arm = run_arm_median(benchmark, candidates,
-                                               warm_backend, pool.get(), reps);
-    const ArmOutcome warm_batch_arm = run_arm_median(
-        benchmark, candidates, warm_batch_backend, pool.get(), reps);
 
     const bool identical = seed_arm.checksum == worklist_arm.checksum &&
-                           seed_arm.checksum == prepared_arm.checksum &&
-                           seed_arm.checksum == warm_arm.checksum &&
-                           seed_arm.checksum == warm_batch_arm.checksum;
+                           seed_arm.checksum == prepared_arm.checksum;
     all_identical = all_identical && identical;
     const double worklist_speedup = seed_arm.seconds / worklist_arm.seconds;
-    const double warm_speedup = prepared_arm.seconds / warm_arm.seconds;
-    // The headline of this bench: warm + batched scenario solving vs the
-    // cold scalar prepared kernel (the ISSUE 2 baseline).
-    const double batch_speedup = prepared_arm.seconds / warm_batch_arm.seconds;
-    const double total_speedup = seed_arm.seconds / warm_batch_arm.seconds;
+    // The headline of this bench: the production path vs the seed path,
+    // and the share of it that prepare-once plus batching contribute.
+    const double prepare_speedup = worklist_arm.seconds / prepared_arm.seconds;
+    const double total_speedup = seed_arm.seconds / prepared_arm.seconds;
     const double scenarios_per_s =
-        warm_batch_arm.seconds > 0.0
-            ? static_cast<double>(warm_batch_arm.scenarios) /
-                  warm_batch_arm.seconds
+        prepared_arm.seconds > 0.0
+            ? static_cast<double>(prepared_arm.scenarios) /
+                  prepared_arm.seconds
             : 0.0;
     if (!large) dream_total_speedup = total_speedup;
 
@@ -313,9 +311,7 @@ int main(int argc, char** argv) {
                    util::Table::cell(seed_arm.seconds, 3),
                    util::Table::cell(worklist_arm.seconds, 3),
                    util::Table::cell(prepared_arm.seconds, 3),
-                   util::Table::cell(warm_arm.seconds, 3),
-                   util::Table::cell(warm_batch_arm.seconds, 3),
-                   util::Table::cell(batch_speedup, 2) + "x",
+                   util::Table::cell(prepare_speedup, 2) + "x",
                    util::Table::cell(total_speedup, 2) + "x",
                    util::Table::cell(scenarios_per_s, 0),
                    identical ? "yes" : "NO"});
@@ -328,11 +324,8 @@ int main(int argc, char** argv) {
             .set("rebuild_worklist_s",
                  obs::Json::number(worklist_arm.seconds, 4))
             .set("prepared_s", obs::Json::number(prepared_arm.seconds, 4))
-            .set("warm_s", obs::Json::number(warm_arm.seconds, 4))
-            .set("warm_batch_s", obs::Json::number(warm_batch_arm.seconds, 4))
             .set("worklist_speedup", obs::Json::number(worklist_speedup, 2))
-            .set("warm_speedup", obs::Json::number(warm_speedup, 2))
-            .set("batch_speedup", obs::Json::number(batch_speedup, 2))
+            .set("prepare_speedup", obs::Json::number(prepare_speedup, 2))
             .set("total_speedup", obs::Json::number(total_speedup, 2))
             .set("scenarios_per_s", obs::Json::number(scenarios_per_s, 0))
             .set("identical", identical));
@@ -351,7 +344,7 @@ int main(int argc, char** argv) {
                    micro.bool_build_us / micro.bitset_build_us, 1)
             << "x)\n";
   std::cout << "(same candidates and seeds in every arm; 'identical' "
-               "cross-checks the WCRT checksum across the five kernel "
+               "cross-checks the WCRT checksum across the three kernel "
                "configurations.)\n";
 
   obs::Json summary = obs::Json::object();

@@ -218,12 +218,11 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   //     byte-identical backend invocations.  The backend is a deterministic
   //     pure function, so each distinct bounds vector is analyzed once and
   //     its result stands in for all its triggers.
-  //  2. Parallelism + batching: the Naive pass runs first (it doubles as
-  //     the warm-start base, see below), then the unique scenarios are
-  //     chunked into solve_many() batches fanned out over the pool.  Each
-  //     chunk writes into its own result slots and the merge below is a
-  //     pointwise max over integers applied in a fixed order, so chunk
-  //     width and thread count are bitwise irrelevant.
+  //  2. Parallelism + batching: the Naive pass runs first, then the unique
+  //     scenarios are chunked into solve_many() batches fanned out over the
+  //     pool.  Each chunk writes into its own result slots and the merge
+  //     below is a pointwise max over integers applied in a fixed order, so
+  //     chunk width and thread count are bitwise irrelevant.
   std::vector<std::size_t> triggers;
   for (std::size_t v = 0; v < n; ++v)
     if (system.info[v].triggers_critical_state) triggers.push_back(v);
@@ -439,14 +438,9 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   analysis_counters().dedup_hits.add(triggers.size() - unique);
   result.scenario_solves = 2 + unique;
 
-  // The Naive pass runs first and doubles as the warm-start base: every
-  // scenario is the all-critical bounds vector plus a small delta (drop-set
-  // zeroing, release cutoffs, tasks finishing before the trigger), so a
-  // backend with warm-start support replays most of the Naive trajectory
-  // instead of re-solving it.  solve_capture falls back to a plain solve
-  // (null base) on backends without support — observationally identical.
+  // The Naive pass: every task at its all-critical bounds, dropped
+  // applications with a zero BCET.
   arena.naive_part.assign(n, 0);
-  std::unique_ptr<sched::PreparedAnalysis::WarmBase> warm_base;
   {
     obs::Span span("analysis.solve");
     analysis_counters().solves.add(1);
@@ -455,7 +449,7 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
       arena.naive_bounds[i] = critical_bounds(task_of(i), system.info[i]);
       if (drop[apps.task_ref(i).graph]) arena.naive_bounds[i].bcet = 0;
     }
-    const auto run = prepared->solve_capture(arena.naive_bounds, warm_base);
+    const auto run = prepared->solve(arena.naive_bounds);
     for (std::size_t i = 0; i < n; ++i)
       arena.naive_part[i] = run.windows[i].max_finish;
   }
@@ -481,7 +475,6 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
     prepared->solve_many(
         std::span<const std::span<const sched::ExecBounds>>(arena.lane_views)
             .subspan(begin, count),
-        warm_base.get(),
         std::span<sched::AnalysisResult>(arena.results)
             .subspan(begin, count));
   };

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "ftmc/dse/chromosome.hpp"
 #include "ftmc/obs/json.hpp"
@@ -64,9 +65,15 @@ core::Evaluation evaluation_from_json(const serve::JsonValue& result) {
   if (const serve::JsonValue* wcrt = result.get("graph_wcrt");
       wcrt != nullptr && wcrt->kind == serve::JsonValue::Kind::kArray) {
     evaluation.graph_wcrt.reserve(wcrt->array.size());
-    for (const serve::JsonValue& bound : wcrt->array)
-      evaluation.graph_wcrt.push_back(
-          static_cast<model::Time>(bound.number));
+    // Read exactly: diverged graphs carry kUnschedulable (2^61 - 1), which
+    // a double would round to 2^61.
+    for (const serve::JsonValue& bound : wcrt->array) {
+      const std::optional<std::int64_t> exact = bound.as_i64();
+      if (!exact)
+        throw dse::ExecutorError(
+            "worker answered a graph_wcrt entry that is not an integer");
+      evaluation.graph_wcrt.push_back(*exact);
+    }
   }
   return evaluation;
 }

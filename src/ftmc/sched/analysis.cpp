@@ -5,16 +5,9 @@
 
 namespace ftmc::sched {
 
-AnalysisResult PreparedAnalysis::solve_capture(
-    std::span<const ExecBounds> bounds,
-    std::unique_ptr<WarmBase>& base) const {
-  base.reset();
-  return solve(bounds);
-}
-
 void PreparedAnalysis::solve_many(
     std::span<const std::span<const ExecBounds>> scenarios,
-    const WarmBase* /*base*/, std::span<AnalysisResult> results) const {
+    std::span<AnalysisResult> results) const {
   if (scenarios.size() != results.size())
     throw std::invalid_argument("solve_many: scenario/result size mismatch");
   for (std::size_t k = 0; k < scenarios.size(); ++k)
@@ -22,12 +15,11 @@ void PreparedAnalysis::solve_many(
 }
 
 void PreparedAnalysis::solve_many(
-    std::span<const std::vector<ExecBounds>> scenarios, const WarmBase* base,
+    std::span<const std::vector<ExecBounds>> scenarios,
     std::span<AnalysisResult> results) const {
   std::vector<std::span<const ExecBounds>> views(scenarios.begin(),
                                                  scenarios.end());
-  solve_many(std::span<const std::span<const ExecBounds>>(views), base,
-             results);
+  solve_many(std::span<const std::span<const ExecBounds>>(views), results);
 }
 
 model::Time AnalysisResult::graph_wcrt(const model::ApplicationSet& apps,
@@ -60,7 +52,7 @@ namespace {
 /// backend with a real prepared problem.  It stays as the adapter that lets
 /// any third-party SchedulingAnalysis participate unchanged, and as the
 /// baseline tests/test_prepared_problem.cpp compares the prepared kernel
-/// against.
+/// against (through a forwarding backend that does not override prepare()).
 class RebuildPerSolve final : public PreparedAnalysis {
  public:
   RebuildPerSolve(const SchedulingAnalysis& backend,

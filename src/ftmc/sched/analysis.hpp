@@ -93,23 +93,7 @@ class PreparedAnalysis {
  public:
   virtual ~PreparedAnalysis() = default;
 
-  /// Opaque warm-start token produced by solve_capture(): the base solution
-  /// plus whatever the backend needs to replay its trajectory for delta
-  /// scenarios (see PreparedProblem::BaseRecord).  Only meaningful when
-  /// handed back to the instance that produced it.
-  class WarmBase {
-   public:
-    virtual ~WarmBase() = default;
-  };
-
   virtual AnalysisResult solve(std::span<const ExecBounds> bounds) const = 0;
-
-  /// Like solve(), additionally capturing a warm-start base for later
-  /// solve_many() calls.  `base` is reset to null when the backend has no
-  /// warm-start support (the default) or capture is disabled; the returned
-  /// result is identical to solve(bounds) either way.
-  virtual AnalysisResult solve_capture(std::span<const ExecBounds> bounds,
-                                       std::unique_ptr<WarmBase>& base) const;
 
   /// Preferred number of scenarios per solve_many() call — the lane width
   /// at which the backend's batched path (if any) performs best.  Callers
@@ -117,24 +101,21 @@ class PreparedAnalysis {
   /// one scenario at a time".
   virtual std::size_t preferred_batch() const { return 1; }
 
-  /// Solves scenarios[k] into results[k] (the spans must have equal size),
-  /// warm-started from `base` when non-null (must come from this object's
-  /// solve_capture; null = cold).  Contract: bitwise identical to calling
-  /// solve() once per scenario — warm-starting and batching are
-  /// amortizations, never approximations.  Thread-safe like solve();
-  /// concurrent callers may share one `base`.
+  /// Solves scenarios[k] into results[k] (the spans must have equal size).
+  /// Contract: bitwise identical to calling solve() once per scenario —
+  /// batching is an amortization, never an approximation.  Thread-safe
+  /// like solve().
   ///
   /// Scenarios are views, not owned vectors: callers that build their
   /// bounds in a contiguous arena (McAnalysis) feed the kernel without an
   /// intermediate copy per scenario.
   virtual void solve_many(
       std::span<const std::span<const ExecBounds>> scenarios,
-      const WarmBase* base, std::span<AnalysisResult> results) const;
+      std::span<AnalysisResult> results) const;
 
   /// Convenience adapter for vector-of-vectors callers (tests, benches):
   /// wraps each vector in a view and forwards to the virtual overload.
   void solve_many(std::span<const std::vector<ExecBounds>> scenarios,
-                  const WarmBase* base,
                   std::span<AnalysisResult> results) const;
 };
 

@@ -14,18 +14,14 @@ AnalysisResult HolisticAnalysis::analyze(
     throw std::invalid_argument("HolisticAnalysis: bounds size mismatch");
   // One-shot entry: prepare and solve in place.  Multi-scenario callers use
   // prepare() once and amortize the problem build (see prepared_problem.hpp).
-  const PreparedProblem prepared(arch, apps, mapping, priorities, options_);
-  PreparedProblem::Scratch& scratch = PreparedProblem::thread_scratch();
-  prepared.solve(bounds, scratch);
-  return prepared.materialize(scratch);
+  return PreparedProblem(arch, apps, mapping, priorities, options_)
+      .solve(bounds);
 }
 
 std::unique_ptr<PreparedAnalysis> HolisticAnalysis::prepare(
     const model::Architecture& arch, const model::ApplicationSet& apps,
     const model::Mapping& mapping,
     std::span<const std::uint32_t> priorities) const {
-  if (!options_.prepared_kernel)
-    return SchedulingAnalysis::prepare(arch, apps, mapping, priorities);
   return std::make_unique<PreparedProblem>(arch, apps, mapping, priorities,
                                            options_);
 }

@@ -6,9 +6,13 @@
 // fixed point over the precedence graph: a task's latest ready time is the
 // latest finish of its predecessors plus communication delay, and interferer
 // jitters are their latest ready times.  Iteration starts from the best-case
-// solution, and all operators are monotone, so the least fixed point is
-// reached; it is a safe upper bound on any concrete schedule in which every
-// task's execution time lies within its ExecBounds.
+// solution and only ever raises stored windows (a guarded max).  The
+// offset-aware operator is NOT monotone — a later window start can exclude
+// whole interfering jobs — so there is no unique least fixed point: the
+// result is defined by the evaluation trajectory (flat node order,
+// Gauss-Seidel rounds; see prepared_problem.hpp).  Whatever fixed point the
+// trajectory reaches is a safe upper bound on any concrete schedule in
+// which every task's execution time lies within its ExecBounds.
 //
 // Best case: interference-free longest-path lower bound on ready/finish
 // times (earliest possible start/completion).
@@ -45,32 +49,6 @@ class HolisticAnalysis final : public SchedulingAnalysis {
     /// contend with each other instead of each enjoying the full bandwidth.
     /// Off by default (the paper's model grants bw_nw to every transfer).
     bool bus_contention = false;
-    /// prepare() returns the amortized PreparedProblem kernel (build the
-    /// problem once per candidate, solve per scenario).  Set to false to
-    /// fall back to the generic rebuild-per-solve adapter — observationally
-    /// identical, only slower; exposed for the differential tests and the
-    /// prepare-vs-rebuild arm of bench_sched_kernel.
-    bool prepared_kernel = true;
-    /// Worst-case global fixed point: change-driven worklist in topological
-    /// order (default) vs. the original full sweep over all nodes until
-    /// stable.  Bit-identical results either way (the operator is monotone,
-    /// so the least fixed point is iteration-order independent); exposed
-    /// for the differential tests and the worklist-vs-sweep bench.
-    bool worklist_fixed_point = true;
-    /// Warm-start scenario solves: solve_capture() records the base solve's
-    /// Gauss-Seidel trajectory and solve_many() replays it for every node
-    /// outside the delta's dependency closure, evaluating only the nodes a
-    /// changed bound can actually reach.  Bit-identical to cold solving by
-    /// construction (trajectory replay, not fixed-point reuse — see
-    /// prepared_problem.hpp).  Requires worklist_fixed_point; exposed for
-    /// the differential tests and the warm-start bench arm.
-    bool warm_start = true;
-    /// Lane count for batched scenario solving: solve_many() solves up to
-    /// this many scenarios simultaneously in a structure-of-arrays layout,
-    /// streaming the shared problem structure (interferer lists, relation
-    /// rows, periods) once per node across all lanes.  1 disables batching.
-    /// Lanes are fully independent, so any width is bit-identical.
-    std::size_t scenario_batch = 8;
   };
 
   HolisticAnalysis() : options_() {}
@@ -84,7 +62,7 @@ class HolisticAnalysis final : public SchedulingAnalysis {
       const override;
 
   /// The amortized kernel: one PreparedProblem shared by every solve()
-  /// (see prepared_problem.hpp).  Honors Options::prepared_kernel.
+  /// (see prepared_problem.hpp).
   std::unique_ptr<PreparedAnalysis> prepare(
       const model::Architecture& arch, const model::ApplicationSet& apps,
       const model::Mapping& mapping,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 
 #include "ftmc/hardening/reliability.hpp"  // scaled_time
@@ -23,7 +22,7 @@ constexpr model::Time ceil_div(model::Time a, model::Time b) noexcept {
 /// and no release lies strictly between the fold result and the raw value,
 /// so every probe answers identically — the fold is behavior-preserving.
 /// It maps all cutoffs within one inter-release gap onto one value, which
-/// is what lets the batch driver's sharing tests recognize scenarios with
+/// is what lets the lane driver's sharing tests recognize scenarios with
 /// different trigger windows as equivalent inputs.  Cutoffs before the
 /// first release (nothing ever runs) all fold to -1.
 constexpr model::Time canonical_cutoff(model::Time cutoff,
@@ -54,65 +53,20 @@ struct KernelCounters {
   obs::Counter worklist_skips{"sched.worklist.skipped_evals"};
   obs::Counter sticky_hits{"sched.worklist.sticky_hits"};
   obs::Counter sweep_evals{"sched.sweep.node_evals"};
-  // Warm-start: recorded bases, records dropped for size, warm lanes
-  // solved, byte-identical-to-base shortcuts, initially-differing nodes
-  // across warm lanes, and evaluations answered by memo copy instead of a
+  // Lane driver: invocations, total lanes, lanes retired by the post-fold
+  // dedup (solved by copying a sibling lane), and evaluations answered by
+  // copying another lane's outcome at the same (round, node) instead of a
   // recompute.
-  obs::Counter warm_bases{"sched.warmstart.bases"};
-  obs::Counter warm_overflows{"sched.warmstart.record_overflows"};
-  obs::Counter warm_solves{"sched.warmstart.solves"};
-  obs::Counter warm_identical{"sched.warmstart.identical_hits"};
-  obs::Counter warm_affected{"sched.warmstart.affected_nodes"};
-  obs::Counter warm_replayed{"sched.warmstart.replayed_nodes"};
-  // Batched driver: invocations, total lanes, node evaluations run through
-  // the SoA scan (also included in sched.worklist.node_evals), and lanes
-  // retired by the post-fold dedup (solved by copying a sibling lane).
   obs::Counter batch_solves{"sched.batch.solves"};
   obs::Counter batch_lanes{"sched.batch.lanes"};
-  obs::Counter batch_evals{"sched.batch.node_evals"};
   obs::Counter batch_dups{"sched.batch.dup_lanes"};
+  obs::Counter batch_shared{"sched.batch.shared_evals"};
 };
 
 KernelCounters& kernel_counters() {
   static KernelCounters counters;
   return counters;
 }
-
-/// State views plugged into update_node_t: the scalar Scratch path and one
-/// lane of the batched SoA path share the exact operator code.
-struct ScalarState {
-  PreparedProblem::Scratch& s;
-  model::Time c_max(std::size_t u) const { return s.c_max[u]; }
-  model::Time release_cutoff(std::size_t u) const {
-    return s.release_cutoff[u];
-  }
-  model::Time min_start(std::size_t u) const { return s.min_start[u]; }
-  model::Time max_arrival(std::size_t u) const { return s.max_arrival[u]; }
-  model::Time max_finish(std::size_t u) const { return s.max_finish[u]; }
-  void store(std::size_t u, model::Time arrival, model::Time finish) {
-    s.max_arrival[u] = arrival;
-    s.max_finish[u] = finish;
-  }
-};
-
-struct LaneState {
-  PreparedProblem::BatchScratch& b;
-  std::size_t off;  // lane * total — each lane's cells are contiguous
-  std::size_t at(std::size_t u) const { return off + u; }
-  model::Time c_max(std::size_t u) const { return b.c_max[at(u)]; }
-  model::Time release_cutoff(std::size_t u) const {
-    return b.release_cutoff[at(u)];
-  }
-  model::Time min_start(std::size_t u) const { return b.min_start[at(u)]; }
-  model::Time max_arrival(std::size_t u) const {
-    return b.max_arrival[at(u)];
-  }
-  model::Time max_finish(std::size_t u) const { return b.max_finish[at(u)]; }
-  void store(std::size_t u, model::Time arrival, model::Time finish) {
-    b.max_arrival[at(u)] = arrival;
-    b.max_finish[at(u)] = finish;
-  }
-};
 
 }  // namespace
 
@@ -249,20 +203,8 @@ PreparedProblem::PreparedProblem(const model::Architecture& arch,
   if (topo_order_.size() != total_)
     throw std::invalid_argument("HolisticAnalysis: precedence cycle");
 
-  // Input set of each node's worst-case equation (itself, precedence
-  // predecessors, interferers), packed one bitset row per node for the
-  // batch driver's memo-copy test.
-  input_bits_.assign(total_ * words_, 0);
-  auto set_input = [&](std::size_t i, std::size_t u) {
-    input_bits_[i * words_ + (u >> 6)] |= std::uint64_t{1} << (u & 63);
-  };
-  for (std::size_t i = 0; i < total_; ++i) {
-    set_input(i, i);
-    for (const InEdge& edge : in_edges_[i]) set_input(i, edge.src);
-    for (const std::size_t u : interferers_[i]) set_input(i, u);
-  }
-  // Same sets as explicit lists (self excluded, duplicates deduped) for the
-  // direct value comparison of the cross-lane sharing test.
+  // Input set of each node's worst-case equation as explicit lists (self
+  // excluded, duplicates deduped) for the cross-lane sharing test.
   input_offsets_.assign(total_ + 1, 0);
   input_nodes_.clear();
   for (std::size_t i = 0; i < total_; ++i) {
@@ -295,50 +237,67 @@ PreparedProblem::PreparedProblem(const model::Architecture& arch,
   horizon_ = options_.horizon_hyperperiods * apps.hyperperiod();
 }
 
-void PreparedProblem::load_bounds(std::span<const ExecBounds> bounds,
-                                  Scratch& s) const {
-  if (bounds.size() != n_)
-    throw std::invalid_argument("HolisticAnalysis: bounds size mismatch");
-  s.c_min.resize(total_);
-  s.c_max.resize(total_);
-  s.release_cutoff.resize(total_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (bounds[i].bcet < 0 || bounds[i].wcet < bounds[i].bcet)
-      throw std::invalid_argument("HolisticAnalysis: invalid ExecBounds");
-    s.c_min[i] = hardening::scaled_time(*pe_ref_[i], bounds[i].bcet);
-    s.c_max[i] = hardening::scaled_time(*pe_ref_[i], bounds[i].wcet);
-    // Cutoffs at or beyond kUnschedulable are indistinguishable from "no
-    // cutoff": release times the operator can actually probe are bounded by
-    // start + window + period, far below the sentinel band.  Folding them
-    // onto one value here (every backend loads through this derivation or
-    // its batched copy) keeps results bitwise identical while letting the
-    // warm-start delta test recognize kNoCutoff and a diverged trigger
-    // window (kUnschedulable) as the same parameter.
-    s.release_cutoff[i] = std::min(bounds[i].release_cutoff, kUnschedulable);
-  }
-  for (std::size_t q = 0; q < message_src_.size(); ++q) {
-    const std::size_t node = n_ + q;
-    const std::size_t src = message_src_[q];
-    // A message exists exactly when its producer runs; zero-size producer
-    // bounds (dropped / inactive tasks) silence the message too.
-    s.c_min[node] = s.c_min[src] == 0 ? 0 : message_transfer_[q];
-    s.c_max[node] = s.c_max[src] == 0 ? 0 : message_transfer_[q];
-    s.release_cutoff[node] = s.release_cutoff[src];
-  }
-}
+void PreparedProblem::load_lanes(
+    std::span<const std::span<const ExecBounds>> scenarios, Lanes& b) const {
+  const std::size_t lanes = scenarios.size();
+  const std::size_t cells = total_ * lanes;
+  b.c_min.resize(cells);
+  b.c_max.resize(cells);
+  b.release_cutoff.resize(cells);
+  b.min_start.resize(cells);
+  b.min_finish.resize(cells);
+  b.max_arrival.resize(cells);
+  b.max_finish.resize(cells);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const std::span<const ExecBounds> bounds = scenarios[lane];
+    if (bounds.size() != n_)
+      throw std::invalid_argument("HolisticAnalysis: bounds size mismatch");
+    const std::size_t off = lane * total_;
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (bounds[i].bcet < 0 || bounds[i].wcet < bounds[i].bcet)
+        throw std::invalid_argument("HolisticAnalysis: invalid ExecBounds");
+      b.c_min[off + i] = hardening::scaled_time(*pe_ref_[i], bounds[i].bcet);
+      b.c_max[off + i] = hardening::scaled_time(*pe_ref_[i], bounds[i].wcet);
+      // Cutoffs at or beyond kUnschedulable are indistinguishable from "no
+      // cutoff": release times the operator can actually probe are bounded
+      // by start + window + period, far below the sentinel band.  Folding
+      // them onto one value lets the sharing and dedup tests treat
+      // kNoCutoff and a diverged trigger window as the same parameter.
+      b.release_cutoff[off + i] =
+          std::min(bounds[i].release_cutoff, kUnschedulable);
+    }
+    for (std::size_t q = 0; q < message_src_.size(); ++q) {
+      const std::size_t node = off + n_ + q;
+      const std::size_t src = off + message_src_[q];
+      // A message exists exactly when its producer runs; zero-size producer
+      // bounds (dropped / inactive tasks) silence the message too.
+      b.c_min[node] = b.c_min[src] == 0 ? 0 : message_transfer_[q];
+      b.c_max[node] = b.c_max[src] == 0 ? 0 : message_transfer_[q];
+      b.release_cutoff[node] = b.release_cutoff[src];
+    }
 
-void PreparedProblem::best_case(Scratch& s) const {
-  // Interference-free longest path: exact in one topological pass (the
-  // original swept to stability, but the DAG fixed point is unique and a
-  // topo pass reaches it directly).
-  s.min_start.resize(total_);
-  s.min_finish.resize(total_);
-  for (const std::size_t i : topo_order_) {
-    model::Time ready = 0;
-    for (const InEdge& edge : in_edges_[i])
-      ready = std::max(ready, s.min_finish[edge.src] + edge.delay);
-    s.min_start[i] = ready;
-    s.min_finish[i] = ready + s.c_min[i];
+    // Best case: interference-free longest path, exact in one topological
+    // pass (the original swept to stability, but the DAG fixed point is
+    // unique and a topo pass reaches it directly).
+    for (const std::size_t i : topo_order_) {
+      model::Time ready = 0;
+      for (const InEdge& edge : in_edges_[i])
+        ready = std::max(ready, b.min_finish[off + edge.src] + edge.delay);
+      b.min_start[off + i] = ready;
+      b.min_finish[off + i] = ready + b.c_min[off + i];
+    }
+    for (std::size_t i = 0; i < total_; ++i) {
+      // Release grids are fixed once the best-case pass has pinned
+      // min_start, so cutoffs can be folded onto their canonical
+      // (last-release) values — behavior-preserving, see canonical_cutoff.
+      b.release_cutoff[off + i] = canonical_cutoff(
+          b.release_cutoff[off + i], b.min_start[off + i], period_[i],
+          horizon_);
+      // Worst-case iteration starts from the best-case solution, exactly
+      // like the reference sweep.
+      b.max_arrival[off + i] = b.min_start[off + i];
+      b.max_finish[off + i] = b.min_finish[off + i];
+    }
   }
 }
 
@@ -355,26 +314,36 @@ void PreparedProblem::best_case(Scratch& s) const {
 // the task falls back to the classical jitter-based busy window, which is
 // unconditionally safe.  Note the operator is NOT monotone in the node's
 // arrival (a later window start can exclude whole interfering jobs), so the
-// global fixed point depends on evaluation order; both drivers below
-// preserve the reference sweep's flat evaluation order exactly.
-template <class State>
-PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
-    std::size_t i, State& s) const {
+// global fixed point depends on evaluation order; the lane driver and the
+// reference sweep both use the flat evaluation order.
+PreparedProblem::UpdateOutcome PreparedProblem::update_node(
+    std::size_t i, Lanes& b, std::size_t off) const {
   const bool offset_aware = options_.precedence_aware;
   const model::Time horizon = horizon_;
   UpdateOutcome outcome;
 
+  // This lane's cells are contiguous from `off`.
+  const auto c_max = [&](std::size_t u) { return b.c_max[off + u]; };
+  const auto release_cutoff = [&](std::size_t u) {
+    return b.release_cutoff[off + u];
+  };
+  const auto min_start = [&](std::size_t u) { return b.min_start[off + u]; };
+  const auto max_arrival = [&](std::size_t u) {
+    return b.max_arrival[off + u];
+  };
+  const auto max_finish = [&](std::size_t u) { return b.max_finish[off + u]; };
+
   // Release jitter of a task: the width of its ready-time band.
   const auto jitter = [&](std::size_t u) {
-    return s.max_arrival(u) - s.min_start(u);
+    return max_arrival(u) - min_start(u);
   };
 
   // --- Classical jitter-based bound (fallback / offset_aware == false) ---
   const auto jitter_interference = [&](model::Time w) {
     model::Time total = 0;
     for (const std::size_t u : interferers_[i]) {
-      if (s.c_max(u) == 0) continue;
-      total += ceil_div(w + jitter(u), period_[u]) * s.c_max(u);
+      if (c_max(u) == 0) continue;
+      total += ceil_div(w + jitter(u), period_[u]) * c_max(u);
     }
     return total;
   };
@@ -391,14 +360,14 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
   };
 
   const auto jitter_fallback = [&](model::Time arrival) {
-    const model::Time busy = solve_jitter_window(s.c_max(i));
+    const model::Time busy = solve_jitter_window(c_max(i));
     const model::Time own_jobs =
         busy > horizon
             ? 1
-            : ceil_div(busy + (arrival - s.min_start(i)), period_[i]);
+            : ceil_div(busy + (arrival - min_start(i)), period_[i]);
     model::Time best = 0;
     for (model::Time q = 0; q < own_jobs; ++q) {
-      const model::Time w = solve_jitter_window((q + 1) * s.c_max(i));
+      const model::Time w = solve_jitter_window((q + 1) * c_max(i));
       if (w > horizon) return horizon + 1;
       best = std::max(best, w + arrival - q * period_[i]);
     }
@@ -409,30 +378,30 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
   const auto offset_interference = [&](model::Time start, model::Time w) {
     model::Time total = 0;
     for (const std::size_t u : interferers_[i]) {
-      if (s.c_max(u) == 0) continue;
+      if (c_max(u) == 0) continue;
       const bool same_graph_related =
           graph_of_[u] == graph_of_[i] && related(i, u);
       const model::Time t_u = period_[u];
       // Jobs whose activity window can overlap [start, start + w).
       const model::Time k_end =
-          (start + w - s.min_start(u) + t_u - 1) / t_u;
+          (start + w - min_start(u) + t_u - 1) / t_u;
       for (model::Time k = 0; k < k_end; ++k) {
         if (same_graph_related && k == 0) continue;
         // Dropped applications release no further instances once the
         // critical-state transition is complete.
-        if (k * t_u + s.min_start(u) > s.release_cutoff(u)) continue;
-        if (k * t_u + s.max_finish(u) <= start) continue;
-        if (k * t_u + s.min_start(u) >= start + w) break;
-        total += s.c_max(u);
+        if (k * t_u + min_start(u) > release_cutoff(u)) continue;
+        if (k * t_u + max_finish(u) <= start) continue;
+        if (k * t_u + min_start(u) >= start + w) break;
+        total += c_max(u);
       }
     }
     return total;
   };
 
   const auto solve_offset_window = [&](model::Time start) {
-    model::Time w = s.c_max(i);
+    model::Time w = c_max(i);
     for (std::size_t iter = 0; iter < options_.max_inner_iterations; ++iter) {
-      const model::Time next = s.c_max(i) + offset_interference(start, w);
+      const model::Time next = c_max(i) + offset_interference(start, w);
       if (next == w) return w;
       w = next;
       if (w > horizon) return horizon + 1;
@@ -451,14 +420,14 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
 
   model::Time arrival = 0;
   for (const InEdge& edge : in_edges_[i])
-    arrival = std::max(arrival, s.max_finish(edge.src) + edge.delay);
+    arrival = std::max(arrival, max_finish(edge.src) + edge.delay);
   if (arrival > horizon) {
     outcome.diverged = true;
     arrival = horizon + 1;
   }
 
   model::Time finish;
-  if (s.c_max(i) == 0) {
+  if (c_max(i) == 0) {
     // Zero-length (dropped / inactive) tasks complete upon readiness.
     finish = arrival;
   } else if (arrival > horizon) {
@@ -476,14 +445,15 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
   }
 
   outcome.raw_changed =
-      arrival != s.max_arrival(i) || finish != s.max_finish(i);
+      arrival != max_arrival(i) || finish != max_finish(i);
   if (outcome.raw_changed) {
     // Non-decreasing updates only (guarded max), as in the reference sweep.
-    const model::Time new_arrival = std::max(s.max_arrival(i), arrival);
-    const model::Time new_finish = std::max(s.max_finish(i), finish);
-    outcome.stored_changed = new_arrival != s.max_arrival(i) ||
-                             new_finish != s.max_finish(i);
-    s.store(i, new_arrival, new_finish);
+    const model::Time new_arrival = std::max(max_arrival(i), arrival);
+    const model::Time new_finish = std::max(max_finish(i), finish);
+    outcome.stored_changed = new_arrival != max_arrival(i) ||
+                             new_finish != max_finish(i);
+    b.max_arrival[off + i] = new_arrival;
+    b.max_finish[off + i] = new_finish;
     // Computed window still below the ratcheted state: with unchanged
     // inputs this node will report raw_changed on every future visit.
     outcome.sticky = arrival != new_arrival || finish != new_finish;
@@ -491,372 +461,42 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
   return outcome;
 }
 
-PreparedProblem::UpdateOutcome PreparedProblem::update_node(std::size_t i,
-                                                            Scratch& s) const {
-  ScalarState state{s};
-  const UpdateOutcome outcome = update_node_t(i, state);
-  if (outcome.diverged) s.diverged = true;
-  return outcome;
-}
-
-void PreparedProblem::worst_case_worklist(Scratch& s,
-                                          BaseRecord* record) const {
-  // Change-driven rounds in the reference sweep's flat order: a round
-  // re-evaluates only the nodes whose inputs (the stored windows of their
-  // precedence predecessors and interferers) changed since their last
-  // visit.  Skipped evaluations are exactly the ones that are no-ops in the
-  // reference sweep — unchanged inputs reproduce the previous computed
-  // window, which the guarded max already absorbed — so the stored-state
-  // trajectory, round for round, is identical to sweeping every node.
-  // Within a round the ascending scan preserves the sweep's Gauss-Seidel
-  // visibility: when node u's stored window changes, readers with a higher
-  // flat index are picked up later in the same round, lower ones next
-  // round, exactly as the full sweep would see them.
-  //
-  // "Sticky" nodes (computed window below the ratcheted stored state) are
-  // the one case where the reference sweep re-reports instability without
-  // changing any value; once only sticky nodes remain the sweep burns its
-  // remaining round budget and lands on the diverged path, which we can
-  // take immediately.
-  // Trajectory recording (solve_capture): every evaluation with its
-  // position, resulting stored window, and outcome flags, so warm-started
-  // scenario solves can memo-copy coincident evaluations (see the header
-  // notes).  The fixed point never reads the record — recorded and
-  // unrecorded solves are bitwise identical.  Past the cap the base is too
-  // turbulent for memoization to pay off; drop the record and let
-  // scenarios solve cold.
-  constexpr std::size_t kRecordCap = std::size_t{1} << 22;
-  if (record != nullptr) {
-    record->valid = true;
-    record->evals.clear();
-  }
-  s.dirty.assign(total_, 1);
-  s.sticky.assign(total_, 0);
-  std::size_t dirty_count = total_;
-  std::size_t sticky_count = 0;
-  std::uint64_t evals = 0, skips = 0, sticky_hits = 0;
-  bool stable = false;
-  for (std::size_t outer = 0;
-       outer < options_.max_outer_iterations && !stable; ++outer) {
-    const std::uint32_t round = static_cast<std::uint32_t>(outer);
-    stable = true;
-    for (std::size_t i = 0; i < total_; ++i) {
-      if (!s.dirty[i]) {
-        ++skips;
-        if (s.sticky[i]) {
-          ++sticky_hits;
-          stable = false;
-        }
-        continue;
-      }
-      s.dirty[i] = 0;
-      --dirty_count;
-      ++evals;
-      const UpdateOutcome outcome = update_node(i, s);
-      if (outcome.raw_changed) stable = false;
-      if (record != nullptr && record->valid) {
-        record->evals.push_back(
-            {round, static_cast<std::uint32_t>(i), s.max_arrival[i],
-             s.max_finish[i],
-             static_cast<std::uint8_t>(
-                 (outcome.raw_changed ? BaseRecord::kRaw : 0) |
-                 (outcome.stored_changed ? BaseRecord::kStored : 0) |
-                 (outcome.sticky ? BaseRecord::kSticky : 0) |
-                 (outcome.diverged ? BaseRecord::kDiverged : 0))});
-        if (record->evals.size() > kRecordCap) {
-          record->valid = false;
-          record->evals.clear();
-          record->evals.shrink_to_fit();
-        }
-      }
-      if (outcome.sticky != static_cast<bool>(s.sticky[i])) {
-        s.sticky[i] = outcome.sticky ? 1 : 0;
-        outcome.sticky ? ++sticky_count : --sticky_count;
-      }
-      if (outcome.stored_changed) {
-        for (const std::size_t dep : dependents_[i]) {
-          if (!s.dirty[dep]) {
-            s.dirty[dep] = 1;
-            ++dirty_count;
-          }
-        }
-      }
-    }
-    // Keep iterating even after a divergence: values clamp at horizon + 1,
-    // so the rounds still stabilize, and tasks not involved in the overload
-    // (e.g. high-priority critical graphs above diverging dropped ones)
-    // retain trustworthy fixed-point bounds.
-    //
-    // Only sticky nodes left: no stored value can ever change again, so
-    // every remaining reference round is a no-op with stable == false — the
-    // reference sweep burns its whole round budget and diverges.  (With no
-    // sticky nodes the next round is the cheap stability confirmation.)
-    if (!stable && dirty_count == 0 && sticky_count > 0) break;
-  }
-  if (!stable) {
-    // Could not certify a fixed point: no value is trustworthy.
-    s.diverged = true;
-    std::fill(s.max_finish.begin(), s.max_finish.end(), horizon_ + 1);
-  }
-  KernelCounters& counters = kernel_counters();
-  counters.worklist_evals.add(evals);
-  counters.worklist_skips.add(skips);
-  counters.sticky_hits.add(sticky_hits);
-}
-
-void PreparedProblem::worst_case_sweep(Scratch& s) const {
-  // Reference mode: the original full sweep over all nodes in flat order
-  // until a sweep changes nothing (or the budget runs out).
-  std::uint64_t evals = 0;
-  bool stable = false;
-  for (std::size_t outer = 0;
-       outer < options_.max_outer_iterations && !stable; ++outer) {
-    stable = true;
-    for (std::size_t i = 0; i < total_; ++i) {
-      ++evals;
-      if (update_node(i, s).raw_changed) stable = false;
-    }
-  }
-  if (!stable) {
-    s.diverged = true;
-    std::fill(s.max_finish.begin(), s.max_finish.end(), horizon_ + 1);
-  }
-  kernel_counters().sweep_evals.add(evals);
-}
-
-void PreparedProblem::solve_impl(std::span<const ExecBounds> bounds,
-                                 Scratch& s, BaseRecord* record) const {
-  load_bounds(bounds, s);
-  s.diverged = false;
-  best_case(s);
-  // Release grids are fixed once the best-case pass has pinned min_start,
-  // so cutoffs can be folded onto their canonical (last-release) values —
-  // behavior-preserving, see canonical_cutoff.
-  for (std::size_t i = 0; i < total_; ++i)
-    s.release_cutoff[i] = canonical_cutoff(
-        s.release_cutoff[i], s.min_start[i], period_[i], horizon_);
-  // Worst-case iteration starts from the best-case solution, exactly like
-  // the reference sweep (both drivers replay its evaluation order, so the
-  // whole trajectory — including the divergence verdict — is identical).
-  s.max_arrival.assign(s.min_start.begin(), s.min_start.end());
-  s.max_finish.assign(s.min_finish.begin(), s.min_finish.end());
-  if (options_.worklist_fixed_point)
-    worst_case_worklist(s, record);
-  else
-    worst_case_sweep(s);
-  KernelCounters& counters = kernel_counters();
-  counters.solves.add(1);
-  if (s.diverged) counters.diverged.add(1);
-}
-
-void PreparedProblem::solve(std::span<const ExecBounds> bounds,
-                            Scratch& s) const {
-  solve_impl(bounds, s, nullptr);
-}
-
-AnalysisResult PreparedProblem::materialize(const Scratch& s) const {
-  AnalysisResult result;
-  result.windows.assign(n_, TaskWindow{});
-  for (std::size_t i = 0; i < n_; ++i) {
-    TaskWindow& window = result.windows[i];
-    window.min_start = s.min_start[i];
-    window.min_finish = s.min_finish[i];
-    window.max_start = s.max_arrival[i];
-    window.max_finish = s.max_finish[i];
-    window.schedulable = s.max_finish[i] <= horizon_;
-    if (!window.schedulable) window.max_finish = kUnschedulable;
-  }
-  result.schedulable = !s.diverged;
-  return result;
-}
-
 AnalysisResult PreparedProblem::solve(
     std::span<const ExecBounds> bounds) const {
-  Scratch& scratch = thread_scratch();
-  solve(bounds, scratch);
-  return materialize(scratch);
-}
-
-AnalysisResult PreparedProblem::solve_capture(
-    std::span<const ExecBounds> bounds,
-    std::unique_ptr<WarmBase>& base) const {
-  base.reset();
-  // Replay is defined against the worklist driver's rounds; in sweep mode
-  // (or with warm-starting off) scenarios simply solve cold.
-  if (!options_.warm_start || !options_.worklist_fixed_point)
-    return solve(bounds);
-  auto record = std::make_unique<BaseRecord>();
-  Scratch& s = thread_scratch();
-  solve_impl(bounds, s, record.get());
-  KernelCounters& counters = kernel_counters();
-  if (!record->valid) {
-    counters.warm_overflows.add(1);
-    return materialize(s);
-  }
-  counters.warm_bases.add(1);
-  record->c_min = s.c_min;
-  record->c_max = s.c_max;
-  record->release_cutoff = s.release_cutoff;
-  record->min_start = s.min_start;
-  record->min_finish = s.min_finish;
-  record->max_arrival = s.max_arrival;
-  record->max_finish = s.max_finish;
-  record->diverged = s.diverged;
-  base = std::move(record);
-  return materialize(s);
-}
-
-std::size_t PreparedProblem::preferred_batch() const {
-  if (!options_.worklist_fixed_point) return 1;
-  return std::max<std::size_t>(std::size_t{1}, options_.scenario_batch);
+  const std::span<const ExecBounds> one[] = {bounds};
+  AnalysisResult result;
+  solve_many(one, std::span<AnalysisResult>(&result, 1));
+  return result;
 }
 
 void PreparedProblem::solve_many(
     std::span<const std::span<const ExecBounds>> scenarios,
-    const WarmBase* base, std::span<AnalysisResult> results) const {
-  if (scenarios.size() != results.size())
-    throw std::invalid_argument("solve_many: scenario/result size mismatch");
-  if (scenarios.empty()) return;
-  const BaseRecord* record = dynamic_cast<const BaseRecord*>(base);
-  if (record != nullptr &&
-      (!record->valid || record->c_min.size() != total_))
-    record = nullptr;
-  // Sweep mode has no batched driver, and a single cold scenario gains
-  // nothing from the lane machinery.
-  if (!options_.worklist_fixed_point ||
-      (record == nullptr && scenarios.size() == 1)) {
-    for (std::size_t k = 0; k < scenarios.size(); ++k)
-      results[k] = solve(scenarios[k]);
-    return;
-  }
-  solve_batch(scenarios, record, thread_batch_scratch(), results);
-}
-
-void PreparedProblem::solve_batch(
-    std::span<const std::span<const ExecBounds>> scenarios,
-    const BaseRecord* base, BatchScratch& b,
     std::span<AnalysisResult> results) const {
   if (scenarios.size() != results.size())
-    throw std::invalid_argument("solve_batch: scenario/result size mismatch");
+    throw std::invalid_argument("solve_many: scenario/result size mismatch");
   const std::size_t lanes = scenarios.size();
   if (lanes == 0) return;
-  if (!options_.worklist_fixed_point)
-    throw std::logic_error("solve_batch: requires worklist mode");
-  if (base != nullptr && (!base->valid || base->c_min.size() != total_))
-    base = nullptr;
+  Lanes& b = thread_lanes();
+  load_lanes(scenarios, b);
 
-  std::uint64_t evals = 0, skips = 0, sticky_hits = 0, copies = 0;
-  std::uint64_t warm_lanes = 0, identical_lanes = 0, delta_total = 0;
+  std::uint64_t evals = 0, skips = 0, sticky_hits = 0, shared = 0;
 
-  // ---- SoA state, [lane * total + node] ----------------------------------
-  // Lane-major: each lane's cells are contiguous, so one lane's evaluation
-  // walks memory exactly like the scalar solver (the dominant access
+  // ---- Driver state ------------------------------------------------------
+  // Lane-major cells: each lane's state is contiguous, so one lane's
+  // evaluation walks memory like a scalar solver (the dominant access
   // pattern).  Cross-lane compares touch two contiguous regions instead.
-  b.lanes = lanes;
   const std::size_t cells = total_ * lanes;
-  b.c_min.resize(cells);
-  b.c_max.resize(cells);
-  b.release_cutoff.resize(cells);
-  b.min_start.resize(cells);
-  b.min_finish.resize(cells);
-  b.max_arrival.resize(cells);
-  b.max_finish.resize(cells);
-  // Every lane starts all-dirty, exactly like the scalar worklist driver:
-  // warm-starting changes how an evaluation is produced (memo copy vs
-  // recompute), never which evaluations happen.
   b.dirty.assign(cells, 1);
   b.sticky.assign(cells, 0);
   b.lane_active.assign(lanes, 1);
   b.lane_round_stable.assign(lanes, 1);
-  b.lane_stable.assign(lanes, 0);
   b.lane_diverged.assign(lanes, 0);
   b.lane_exhausted.assign(lanes, 0);
   b.dirty_count.assign(lanes, total_);
   b.sticky_count.assign(lanes, 0);
   b.node_dirty.assign(total_, static_cast<std::uint32_t>(lanes));
   b.node_sticky.assign(total_, 0);
-
-  // Load + validate every lane's bounds (same derivation as load_bounds).
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const std::span<const ExecBounds> bounds = scenarios[lane];
-    if (bounds.size() != n_)
-      throw std::invalid_argument("HolisticAnalysis: bounds size mismatch");
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (bounds[i].bcet < 0 || bounds[i].wcet < bounds[i].bcet)
-        throw std::invalid_argument("HolisticAnalysis: invalid ExecBounds");
-      const std::size_t x = lane * total_ + i;
-      b.c_min[x] = hardening::scaled_time(*pe_ref_[i], bounds[i].bcet);
-      b.c_max[x] = hardening::scaled_time(*pe_ref_[i], bounds[i].wcet);
-      // Same cutoff fold as load_bounds — keep the two derivations in sync.
-      b.release_cutoff[x] =
-          std::min(bounds[i].release_cutoff, kUnschedulable);
-    }
-    for (std::size_t q = 0; q < message_src_.size(); ++q) {
-      const std::size_t x = lane * total_ + n_ + q;
-      const std::size_t src = lane * total_ + message_src_[q];
-      b.c_min[x] = b.c_min[src] == 0 ? 0 : message_transfer_[q];
-      b.c_max[x] = b.c_max[src] == 0 ? 0 : message_transfer_[q];
-      b.release_cutoff[x] = b.release_cutoff[src];
-    }
-  }
-
-  // ---- Identical-scenario shortcut ---------------------------------------
-  // Comparing the loaded parameters covers message nodes too — their bounds
-  // are derived from the producer's.
   std::size_t active_count = lanes;
-  if (base != nullptr) {
-    warm_lanes = lanes;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      bool identical = true;
-      for (std::size_t i = 0; i < total_ && identical; ++i) {
-        const std::size_t x = lane * total_ + i;
-        identical = b.c_min[x] == base->c_min[i] &&
-                    b.c_max[x] == base->c_max[i] &&
-                    b.release_cutoff[x] == base->release_cutoff[i];
-      }
-      if (!identical) continue;
-      // Byte-identical scenario: the base solution (including a divergence
-      // fill, which the snapshot already carries) is the answer.
-      ++identical_lanes;
-      for (std::size_t i = 0; i < total_; ++i) {
-        const std::size_t x = lane * total_ + i;
-        b.min_start[x] = base->min_start[i];
-        b.min_finish[x] = base->min_finish[i];
-        b.max_arrival[x] = base->max_arrival[i];
-        b.max_finish[x] = base->max_finish[i];
-      }
-      b.lane_diverged[lane] = base->diverged ? 1 : 0;
-      b.lane_stable[lane] = 1;
-      b.lane_active[lane] = 0;
-      b.dirty_count[lane] = 0;
-      --active_count;
-    }
-    // Retired lanes' never-visited dirty bits must not be counted, or the
-    // per-node totals would never reach the all-clear fast path.
-    if (identical_lanes > 0)
-      b.node_dirty.assign(total_, static_cast<std::uint32_t>(active_count));
-  }
-
-  // ---- Best-case topo pass + worst-case seed, per lane -------------------
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    if (!b.lane_active[lane]) continue;
-    const std::size_t off = lane * total_;
-    for (const std::size_t i : topo_order_) {
-      model::Time ready = 0;
-      for (const InEdge& edge : in_edges_[i])
-        ready = std::max(ready, b.min_finish[off + edge.src] + edge.delay);
-      b.min_start[off + i] = ready;
-      b.min_finish[off + i] = ready + b.c_min[off + i];
-    }
-    for (std::size_t i = 0; i < total_; ++i) {
-      b.max_arrival[off + i] = b.min_start[off + i];
-      b.max_finish[off + i] = b.min_finish[off + i];
-      // Same cutoff fold as solve_impl, against this lane's release grid.
-      b.release_cutoff[off + i] = canonical_cutoff(
-          b.release_cutoff[off + i], b.min_start[off + i], period_[i],
-          horizon_);
-    }
-  }
 
   // ---- Post-fold lane dedup ----------------------------------------------
   // The canonical fold collapses scenarios that differed only in
@@ -868,10 +508,9 @@ void PreparedProblem::solve_batch(
   constexpr std::uint32_t kNoDup = std::numeric_limits<std::uint32_t>::max();
   b.dup_of.assign(lanes, kNoDup);
   std::uint64_t dup_lanes = 0;
-  if (active_count > 1) {
+  if (lanes > 1) {
     b.lane_sig.assign(lanes, 0);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (!b.lane_active[lane]) continue;
       const std::size_t off = lane * total_;
       b.lane_sig[lane] = util::fnv1a_stream(
           total_, [&](util::Fnv1aHasher& hasher, std::size_t i) {
@@ -881,7 +520,6 @@ void PreparedProblem::solve_batch(
           });
     }
     for (std::size_t lane = 1; lane < lanes; ++lane) {
-      if (!b.lane_active[lane]) continue;
       const std::size_t off = lane * total_;
       for (std::size_t prev = 0; prev < lane; ++prev) {
         if (!b.lane_active[prev] || b.lane_sig[prev] != b.lane_sig[lane])
@@ -901,69 +539,35 @@ void PreparedProblem::solve_batch(
         break;
       }
     }
+    // Retired lanes' never-visited dirty bits must not be counted, or the
+    // per-node totals would never reach the all-clear fast path.
     if (dup_lanes > 0)
       b.node_dirty.assign(total_, static_cast<std::uint32_t>(active_count));
   }
 
-  // ---- Memoization state (see the header notes) --------------------------
-  // The shadow starts at the base's worst-case seed (its best-case windows)
-  // and is advanced through the eval log in lockstep with the joint scan,
-  // so it always holds the base's stored windows at the current trajectory
-  // position.  A lane's delta bit for node u is clear iff every operator
-  // input sourced at u is bitwise-equal to the base's right now.
-  const bool warm = base != nullptr && active_count > 0;
-  if (warm) {
-    b.shadow_arrival.assign(base->min_start.begin(), base->min_start.end());
-    b.shadow_finish.assign(base->min_finish.begin(), base->min_finish.end());
-    b.static_delta.assign(lanes * words_, 0);
-    b.delta.assign(lanes * words_, 0);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (!b.lane_active[lane]) continue;
-      std::uint64_t* stat = b.static_delta.data() + lane * words_;
-      std::uint64_t* delt = b.delta.data() + lane * words_;
-      for (std::size_t i = 0; i < total_; ++i) {
-        const std::size_t x = lane * total_ + i;
-        const bool static_diff =
-            b.c_max[x] != base->c_max[i] ||
-            b.release_cutoff[x] != base->release_cutoff[i] ||
-            b.min_start[x] != base->min_start[i];
-        if (static_diff) stat[i >> 6] |= std::uint64_t{1} << (i & 63);
-        // Seed windows are the best-case solution on both sides, so the
-        // initial value deltas are exactly the best-case differences
-        // (which is also how a c_min change enters the worst-case pass).
-        if (static_diff || b.max_arrival[x] != b.shadow_arrival[i] ||
-            b.max_finish[x] != b.shadow_finish[i]) {
-          delt[i >> 6] |= std::uint64_t{1} << (i & 63);
-          ++delta_total;
-        }
-      }
-    }
-  }
   // ---- Joint round loop ---------------------------------------------------
+  // Change-driven rounds in the reference sweep's flat order: a round
+  // re-evaluates only the nodes whose inputs (the stored windows of their
+  // precedence predecessors and interferers) changed since their last
+  // visit.  Skipped evaluations are exactly the ones that are no-ops in the
+  // reference sweep — unchanged inputs reproduce the previous computed
+  // window, which the guarded max already absorbed — so the stored-state
+  // trajectory, round for round, is identical to sweeping every node.
+  // Within a round the ascending scan preserves the sweep's Gauss-Seidel
+  // visibility: when node u's stored window changes, readers with a higher
+  // flat index are picked up later in the same round, lower ones next
+  // round, exactly as the full sweep would see them.
+  //
   // All lanes advance through the same round index; a lane whose round
-  // certifies stability retires.  Each lane runs the scalar worklist body
-  // verbatim; the only shortcut is HOW a dirty evaluation is produced: when
-  // the base evaluated this same (round, node) and the lane's delta bits
-  // are clear across the node's whole input set, the recorded outcome is
-  // copied instead of recomputed (the operator is a pure function of those
-  // inputs, so the copy is bitwise what the evaluation would return).
-  const BaseRecord::Eval* log = warm ? base->evals.data() : nullptr;
-  const std::size_t log_size = warm ? base->evals.size() : 0;
-  std::size_t log_cursor = 0;
+  // certifies stability retires.  Keep iterating even after a divergence:
+  // values clamp at horizon + 1, so the rounds still stabilize, and tasks
+  // not involved in the overload (e.g. high-priority critical graphs above
+  // diverging dropped ones) retain trustworthy fixed-point bounds.
   for (std::size_t outer = 0;
        outer < options_.max_outer_iterations && active_count > 0; ++outer) {
-    const std::uint32_t round = static_cast<std::uint32_t>(outer);
     for (std::size_t lane = 0; lane < lanes; ++lane)
       if (b.lane_active[lane]) b.lane_round_stable[lane] = 1;
     for (std::size_t i = 0; i < total_; ++i) {
-      // The log is in trajectory order, and this scan visits the same
-      // (round, node) sequence, so a single shared cursor suffices.
-      const BaseRecord::Eval* entry =
-          log_cursor < log_size && log[log_cursor].round == round &&
-                  log[log_cursor].node == i
-              ? &log[log_cursor]
-              : nullptr;
-      bool any_stored = false;
       // Cross-lane sharing: the last lane that produced an outcome at this
       // (round, node).  During one position only node i's own cells mutate,
       // so a later lane whose input values all equal the reference lane's
@@ -997,26 +601,7 @@ void PreparedProblem::solve_batch(
         const model::Time pre_finish = b.max_finish[x];
         UpdateOutcome outcome;
         bool copied = false;
-        if (entry != nullptr) {
-          const std::uint64_t* delt = b.delta.data() + lane * words_;
-          const std::uint64_t* in = input_bits_.data() + i * words_;
-          std::uint64_t hit = 0;
-          for (std::size_t w = 0; w < words_; ++w) hit |= delt[w] & in[w];
-          if (hit == 0) {
-            outcome.raw_changed = (entry->flags & BaseRecord::kRaw) != 0;
-            outcome.stored_changed =
-                (entry->flags & BaseRecord::kStored) != 0;
-            outcome.sticky = (entry->flags & BaseRecord::kSticky) != 0;
-            outcome.diverged = (entry->flags & BaseRecord::kDiverged) != 0;
-            if (outcome.stored_changed) {
-              b.max_arrival[x] = entry->arrival;
-              b.max_finish[x] = entry->finish;
-            }
-            copied = true;
-            ++copies;
-          }
-        }
-        if (!copied && ref_lane != kNoRef) {
+        if (ref_lane != kNoRef) {
           const std::size_t r = ref_lane * total_ + i;
           bool same = b.c_max[x] == b.c_max[r] &&
                       b.release_cutoff[x] == b.release_cutoff[r] &&
@@ -1043,13 +628,12 @@ void PreparedProblem::solve_batch(
               b.max_finish[x] = b.max_finish[r];
             }
             copied = true;
-            ++copies;
+            ++shared;
           }
         }
         if (!copied) {
           ++evals;
-          LaneState state{b, lane * total_};
-          outcome = update_node_t(i, state);
+          outcome = update_node(i, b, lane * total_);
         }
         ref_lane = lane;
         ref_pre_arrival = pre_arrival;
@@ -1063,7 +647,6 @@ void PreparedProblem::solve_batch(
           outcome.sticky ? ++b.node_sticky[i] : --b.node_sticky[i];
         }
         if (outcome.stored_changed) {
-          any_stored = true;
           for (const std::size_t dep : dependents_[i]) {
             const std::size_t y = lane * total_ + dep;
             if (!b.dirty[y]) {
@@ -1074,40 +657,11 @@ void PreparedProblem::solve_batch(
           }
         }
       }
-      if (warm) {
-        // Advance the shadow past this position, then refresh the delta bit
-        // wherever either side's stored window could have moved.  (A copied
-        // kStored entry lands exactly on the new shadow value, so its bit
-        // refreshes to the static part — no special case needed.)
-        bool entry_stored = false;
-        if (entry != nullptr) {
-          entry_stored = (entry->flags & BaseRecord::kStored) != 0;
-          if (entry_stored) {
-            b.shadow_arrival[i] = entry->arrival;
-            b.shadow_finish[i] = entry->finish;
-          }
-          ++log_cursor;
-        }
-        if (entry_stored || any_stored) {
-          const std::size_t word = i >> 6;
-          const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-          for (std::size_t lane = 0; lane < lanes; ++lane) {
-            if (!b.lane_active[lane]) continue;
-            const std::size_t x = lane * total_ + i;
-            const bool diff =
-                (b.static_delta[lane * words_ + word] & bit) != 0 ||
-                b.max_arrival[x] != b.shadow_arrival[i] ||
-                b.max_finish[x] != b.shadow_finish[i];
-            std::uint64_t& delta_word = b.delta[lane * words_ + word];
-            delta_word = diff ? delta_word | bit : delta_word & ~bit;
-          }
-        }
-      }
     }
-    // Round verdicts — the scalar driver's exit tests, per lane.  A retired
-    // lane's leftover dirty/sticky bits are released from the per-node
-    // totals (they would never be visited again) so the all-clear fast
-    // path keeps firing for the lanes still running.
+    // Round verdicts per lane.  A retired lane's leftover dirty/sticky bits
+    // are released from the per-node totals (they would never be visited
+    // again) so the all-clear fast path keeps firing for the lanes still
+    // running.
     auto release_lane_bits = [&](std::size_t lane) {
       const std::size_t off = lane * total_;
       for (std::size_t i = 0; i < total_; ++i) {
@@ -1125,23 +679,23 @@ void PreparedProblem::solve_batch(
       if (!b.lane_active[lane]) continue;
       if (b.lane_round_stable[lane] != 0) {
         b.lane_active[lane] = 0;
-        b.lane_stable[lane] = 1;
         --active_count;
         release_lane_bits(lane);
         continue;
       }
       if (b.dirty_count[lane] != 0) continue;
-      // No dirty work left: with sticky nodes the scalar loop would burn
-      // its remaining rounds re-reporting them and diverge (its early
-      // break); without, the next round is the cheap all-skip confirmation
-      // — certifying iff it still fits the budget.
+      // No dirty work left.  "Sticky" nodes (computed window below the
+      // ratcheted stored state) are the one case where the reference sweep
+      // re-reports instability without changing any value: with sticky
+      // nodes left, every remaining reference round is a no-op that is not
+      // stable, so the sweep burns its whole round budget and diverges —
+      // take that verdict now.  Without, the next round is the cheap
+      // all-skip confirmation — certifying iff it still fits the budget.
       b.lane_active[lane] = 0;
       --active_count;
       release_lane_bits(lane);
-      if (b.sticky_count[lane] == 0 &&
-          outer + 1 < options_.max_outer_iterations)
-        b.lane_stable[lane] = 1;
-      else
+      if (b.sticky_count[lane] != 0 ||
+          outer + 1 >= options_.max_outer_iterations)
         b.lane_exhausted[lane] = 1;
     }
   }
@@ -1165,27 +719,14 @@ void PreparedProblem::solve_batch(
     bool diverged = b.lane_diverged[lane] != 0;
     if (b.lane_active[lane] || b.lane_exhausted[lane]) {
       // Round budget exhausted (or provably would be) without certifying a
-      // fixed point.
+      // fixed point: no value is trustworthy.
       diverged = true;
       for (std::size_t i = 0; i < total_; ++i)
         b.max_finish[lane * total_ + i] = horizon_ + 1;
     }
     b.lane_diverged[lane] = diverged ? 1 : 0;
     if (diverged) ++diverged_lanes;
-
-    AnalysisResult& result = results[lane];
-    result.windows.assign(n_, TaskWindow{});
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::size_t x = lane * total_ + i;
-      TaskWindow& window = result.windows[i];
-      window.min_start = b.min_start[x];
-      window.min_finish = b.min_finish[x];
-      window.max_start = b.max_arrival[x];
-      window.max_finish = b.max_finish[x];
-      window.schedulable = b.max_finish[x] <= horizon_;
-      if (!window.schedulable) window.max_finish = kUnschedulable;
-    }
-    result.schedulable = !diverged;
+    materialize(b, lane, diverged, results[lane]);
   }
 
   KernelCounters& counters = kernel_counters();
@@ -1196,26 +737,63 @@ void PreparedProblem::solve_batch(
   counters.sticky_hits.add(sticky_hits);
   counters.batch_solves.add(1);
   counters.batch_lanes.add(lanes);
-  counters.batch_evals.add(evals);
   counters.batch_dups.add(dup_lanes);
-  // Cross-lane sharing also fires on cold batches, so the memo-copy tally
-  // is flushed regardless of a base being present.
-  counters.warm_replayed.add(copies);
-  if (warm_lanes > 0) {
-    counters.warm_solves.add(warm_lanes);
-    counters.warm_identical.add(identical_lanes);
-    counters.warm_affected.add(delta_total);
+  counters.batch_shared.add(shared);
+}
+
+AnalysisResult PreparedProblem::solve_reference_sweep(
+    std::span<const ExecBounds> bounds) const {
+  // The original full sweep over all nodes in flat order until a sweep
+  // changes nothing (or the budget runs out), on a private one-lane state.
+  Lanes b;
+  const std::span<const ExecBounds> one[] = {bounds};
+  load_lanes(one, b);
+  std::uint64_t evals = 0;
+  bool diverged = false;
+  bool stable = false;
+  for (std::size_t outer = 0;
+       outer < options_.max_outer_iterations && !stable; ++outer) {
+    stable = true;
+    for (std::size_t i = 0; i < total_; ++i) {
+      ++evals;
+      const UpdateOutcome outcome = update_node(i, b, 0);
+      if (outcome.diverged) diverged = true;
+      if (outcome.raw_changed) stable = false;
+    }
   }
+  if (!stable) {
+    diverged = true;
+    std::fill(b.max_finish.begin(), b.max_finish.end(), horizon_ + 1);
+  }
+  KernelCounters& counters = kernel_counters();
+  counters.sweep_evals.add(evals);
+  counters.solves.add(1);
+  if (diverged) counters.diverged.add(1);
+  AnalysisResult result;
+  materialize(b, 0, diverged, result);
+  return result;
 }
 
-PreparedProblem::Scratch& PreparedProblem::thread_scratch() {
-  thread_local Scratch scratch;
-  return scratch;
+void PreparedProblem::materialize(const Lanes& b, std::size_t lane,
+                                  bool diverged,
+                                  AnalysisResult& result) const {
+  result.windows.assign(n_, TaskWindow{});
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::size_t x = lane * total_ + i;
+    TaskWindow& window = result.windows[i];
+    window.min_start = b.min_start[x];
+    window.min_finish = b.min_finish[x];
+    window.max_start = b.max_arrival[x];
+    window.max_finish = b.max_finish[x];
+    window.schedulable = b.max_finish[x] <= horizon_;
+    if (!window.schedulable) window.max_finish = kUnschedulable;
+  }
+  result.schedulable = !diverged;
 }
 
-PreparedProblem::BatchScratch& PreparedProblem::thread_batch_scratch() {
-  thread_local BatchScratch scratch;
-  return scratch;
+PreparedProblem::Lanes& PreparedProblem::thread_lanes() {
+  thread_local Lanes lanes;
+  return lanes;
 }
 
 }  // namespace ftmc::sched

@@ -5,10 +5,10 @@
 // bounds is scenario-invariant: the flattened node set (tasks + bus message
 // nodes), the precedence edges, the per-PE interferer lists, the transitive
 // same-graph relation matrix, and the analysis horizon.  PreparedProblem
-// captures all of that once; solve(bounds, scratch) then runs the best-case
-// and worst-case fixed points against caller-owned scratch buffers with no
-// per-scenario allocation (scratch grows on first use and is reused across
-// scenarios and candidates).
+// captures all of that once; solve_many() then runs the best-case and
+// worst-case fixed points for a batch of bounds vectors against a
+// thread-local arena with no per-scenario allocation (the arena grows on
+// first use and is reused across scenarios and candidates).
 //
 // Beyond amortizing construction, the kernel is faster than the original
 // monolithic HolisticAnalysis::analyze in three ways:
@@ -19,48 +19,30 @@
 //     longest path, so sweeping to stability is redundant);
 //   - the worst-case global fixed point, after the first round, only
 //     re-evaluates nodes whose inputs changed (change-driven worklist)
-//     instead of every node every sweep.  A reference full-sweep mode
-//     (Options::worklist_fixed_point = false) keeps the original iteration
-//     scheme for differential tests and the worklist-vs-sweep bench.
+//     instead of every node every sweep.  The original full sweep survives
+//     as solve_reference_sweep(), the oracle of the differential tests.
 //
-// Two further amortizations sit on top (both optional, both bit-identical):
+// There is one worklist driver, and it solves lanes: solve_many() lays N
+// scenarios out as structure-of-arrays lanes (state indexed
+// [lane * total + node], so each lane's evaluation walks memory like a
+// scalar solver) and runs them through one joint round loop; solve() is a
+// one-lane call of it.  Visiting the same (round, node) across all lanes
+// back to back is what lets one lane's evaluation stand in for the next
+// one's when their inputs coincide (cross-lane sharing), and lanes whose
+// parameters coincide after the canonical cutoff fold are solved once
+// (post-fold dedup).  Lanes are otherwise independent, so any lane count is
+// bit-identical to solving the scenarios one by one.
 //
-//   - Warm-started scenario solving (Options::warm_start): solve_capture()
-//     records the base solve's whole Gauss-Seidel trajectory — every node
-//     evaluation with its (round, node) position, resulting stored window,
-//     and outcome flags — as a BaseRecord.  A scenario solve then runs the
-//     cold worklist algorithm verbatim, but treats the record as a
-//     memoization table: the worst-case operator is a pure function of the
-//     node's stored window, its parameters, and the windows of its inputs
-//     (precedence predecessors and interferers), so whenever a lane's whole
-//     input set is bitwise-identical to the base's at the same trajectory
-//     position, the recorded outcome is copied instead of recomputed.
-//     Coincidence is tracked with a per-lane value-delta bitset against a
-//     shared "shadow" replay of the base's stored state; scenarios are
-//     small deltas of the base, so almost every evaluation collapses into
-//     an O(words) bitmask test plus a copy.  Memoization, not fixed-point
-//     reuse: seeding a scenario from the base *fixed point* would not be
-//     bit-identical, because the operator is non-monotone and the stored
-//     state only ratchets upward (see the trajectory note below).
-//   - Batched scenario solving (Options::scenario_batch): solve_many() lays
-//     N scenarios out as structure-of-arrays lanes (state indexed
-//     [lane * total + node], so each lane's evaluation walks memory exactly
-//     like the scalar solver) and runs them through one joint round loop.
-//     Visiting the same (round, node) across all lanes back to back is what
-//     lets one lane's evaluation stand in for the next one's (the
-//     cross-lane copy below).  Lanes are fully independent, so the
-//     interleaving is trivially bit-identical to solving them one by one.
-//
-// Every mode returns bit-identical results to every other and to the
-// original monolithic path (tests/test_prepared_problem.cpp and the fuzz
-// harness tests/test_kernel_fuzz.cpp).  That identity
-// is by trajectory, not by fixed-point theory: the offset-aware worst-case
-// operator is NOT monotone in a node's arrival (shifting a busy window right
-// can drop whole interfering jobs), so different evaluation orders can
-// ratchet the guarded-max state to different fixed points.  The worklist
-// therefore visits dirty nodes in the reference sweep's flat order and skips
-// exactly the evaluations that are provably no-ops there — same inputs as
-// the previous visit implies the same computed window, which the guarded max
+// The result is bit-identical to the reference sweep and to the original
+// monolithic path (tests/test_prepared_problem.cpp and the fuzz harness
+// tests/test_kernel_fuzz.cpp).  That identity is by trajectory, not by
+// fixed-point theory: the offset-aware worst-case operator is NOT monotone
+// in a node's arrival (shifting a busy window right can drop whole
+// interfering jobs), so different evaluation orders can ratchet the
+// guarded-max state to different fixed points.  The worklist therefore
+// visits dirty nodes in the reference sweep's flat order and skips exactly
+// the evaluations that are provably no-ops there — same inputs as the
+// previous visit implies the same computed window, which the guarded max
 // already absorbed.  Nodes whose computed window stays below the ratcheted
 // state ("sticky") keep the reference sweep unstable until its round budget
 // exhausts; the worklist tracks them and reproduces that divergence verdict
@@ -76,95 +58,10 @@ namespace ftmc::sched {
 
 class PreparedProblem final : public PreparedAnalysis {
  public:
-  /// Caller-owned solve state.  All vectors are resized on demand and keep
-  /// their capacity, so reusing one Scratch across solve() calls (and across
-  /// PreparedProblems) makes the per-scenario allocation count zero.
-  struct Scratch {
-    // Per-solve problem inputs (bounds-dependent node parameters).
-    std::vector<model::Time> c_min, c_max, release_cutoff;
-    // Fixed-point state: best-case ready/finish, worst-case ready/finish.
-    std::vector<model::Time> min_start, min_finish, max_arrival, max_finish;
-    // Worklist mode: nodes whose inputs changed since their last visit, and
-    // nodes whose last computed window differs from the ratcheted state
-    // (these keep the reference sweep unstable; see worst_case_worklist).
-    std::vector<std::uint8_t> dirty;
-    std::vector<std::uint8_t> sticky;
-    bool diverged = false;
-  };
-
-  /// Recorded base solve for warm-started scenario replay (see the header
-  /// notes).  Produced by solve_capture(); opaque to callers, consumed by
-  /// solve_many() on the same PreparedProblem.
-  struct BaseRecord final : WarmBase {
-    /// Recording completed within the size cap; when false the record is
-    /// unusable and scenario solves fall back to cold.
-    bool valid = false;
-
-    // Loaded per-node parameters (post speed scaling / message derivation)
-    // of the base bounds — scenario deltas are computed against these.
-    std::vector<model::Time> c_min, c_max, release_cutoff;
-    // Best-case windows (the worst-case seed / shadow start) and the final
-    // solution, for the identical-scenario shortcut.
-    std::vector<model::Time> min_start, min_finish, max_arrival, max_finish;
-    bool diverged = false;
-
-    /// One recorded evaluation: its (round, node) position, the stored
-    /// window after the visit, and the UpdateOutcome flags.  The operator
-    /// is a pure function of its inputs, so a scenario evaluation whose
-    /// whole input set is bitwise-identical to the base's at the same
-    /// trajectory position reproduces exactly this entry.
-    struct Eval {
-      std::uint32_t round, node;
-      model::Time arrival, finish;
-      std::uint8_t flags;
-    };
-    static constexpr std::uint8_t kRaw = 1;      ///< raw_changed
-    static constexpr std::uint8_t kStored = 2;   ///< stored_changed
-    static constexpr std::uint8_t kSticky = 4;   ///< sticky
-    static constexpr std::uint8_t kDiverged = 8; ///< diverged
-    /// Every base evaluation in trajectory order (round asc, node asc
-    /// within a round — the worklist's visit order).
-    std::vector<Eval> evals;
-  };
-
-  /// Caller-owned state of one batched solve: structure-of-arrays over
-  /// `lanes` scenarios, state indexed [lane * total + node].  Same reuse
-  /// contract as Scratch (grows on demand, keeps capacity).
-  struct BatchScratch {
-    std::size_t lanes = 0;
-    // Per (node, lane) fixed-point state.
-    std::vector<model::Time> c_min, c_max, release_cutoff;
-    std::vector<model::Time> min_start, min_finish, max_arrival, max_finish;
-    std::vector<std::uint8_t> dirty, sticky;
-    // Per-lane driver state.
-    std::vector<std::uint8_t> lane_active, lane_round_stable;
-    std::vector<std::uint8_t> lane_stable, lane_diverged;
-    /// Lane proven to never certify a round within the budget (all-sticky
-    /// with no dirty work left — the scalar driver's early break): retired
-    /// onto the same diverged fill the exhausted-budget path produces.
-    std::vector<std::uint8_t> lane_exhausted;
-    std::vector<std::size_t> dirty_count, sticky_count;
-    /// Per-node counts of set dirty/sticky bits across lanes (retired
-    /// lanes' leftover bits included — conservative): a joint-scan position
-    /// with both counts zero is skipped for all lanes in one test.
-    std::vector<std::uint32_t> node_dirty, node_sticky;
-    /// Post-fold lane dedup: earlier lane with a bitwise-equal parameter
-    /// set (solved once, its solution copied at finalization), and each
-    /// lane's parameter-set signature gating the full compare.
-    std::vector<std::uint32_t> dup_of;
-    std::vector<std::uint64_t> lane_sig;
-    /// Shared replay of the base solve's stored state, advanced through the
-    /// eval log in (round, node) lockstep with the joint scan.
-    std::vector<model::Time> shadow_arrival, shadow_finish;
-    /// Per-lane bitsets over nodes (words per lane as in related_bits_,
-    /// concatenated lane by lane).  `static_delta`: the node's operator
-    /// parameters (c_max, release_cutoff, best-case start) differ from the
-    /// base's — fixed per solve.  `delta`: static_delta OR the node's
-    /// stored window currently differs from the shadow.  An evaluation may
-    /// copy the base's recorded outcome iff the delta bits of its whole
-    /// input set are clear.
-    std::vector<std::uint64_t> static_delta, delta;
-  };
+  /// Scenarios per solve_many() call that callers should aim for: wide
+  /// enough for cross-lane sharing and dedup to find partners, narrow
+  /// enough that a lane's state stays cache-resident.
+  static constexpr std::size_t kLaneWidth = 8;
 
   /// Builds the bounds-independent problem structure.  All references are
   /// borrowed: arch and apps (and the backing mapping) must outlive this
@@ -181,55 +78,59 @@ class PreparedProblem final : public PreparedAnalysis {
   /// Tasks plus bus message nodes (internal fixed-point width).
   std::size_t node_count() const noexcept { return total_; }
 
-  /// Runs both fixed points for one bounds vector, leaving the solution in
-  /// `scratch` (read it back via materialize).  Zero allocation once the
-  /// scratch has reached this problem's size.  Thread-safe: `this` is
-  /// immutable after construction; concurrent callers need distinct scratch.
-  void solve(std::span<const ExecBounds> bounds, Scratch& scratch) const;
-
-  /// Packages a solved scratch into the public result form.
-  AnalysisResult materialize(const Scratch& scratch) const;
-
-  /// PreparedAnalysis entry: solve on this worker's arena scratch.
+  /// One bounds vector: a one-lane solve_many().  Thread-safe: `this` is
+  /// immutable after construction and the lane state is thread-local.
   AnalysisResult solve(std::span<const ExecBounds> bounds) const override;
 
-  /// Solve + record the trajectory as a warm-start base (null when
-  /// Options::warm_start is off, the solver is in sweep mode, or the
-  /// record overflowed its size cap).  Result is identical to solve().
-  AnalysisResult solve_capture(std::span<const ExecBounds> bounds,
-                               std::unique_ptr<WarmBase>& base) const override;
+  std::size_t preferred_batch() const override { return kLaneWidth; }
 
-  /// Options::scenario_batch in worklist mode, 1 in sweep mode.
-  std::size_t preferred_batch() const override;
-
-  /// Warm-started / batched scenario fan-out (see header notes).  Routes to
-  /// solve_batch() in worklist mode; sweep mode and single cold scenarios
-  /// fall back to the scalar path.  Bitwise identical to per-scenario
-  /// solve() in every configuration.
+  /// The lane driver: solves every scenario as a lane of one joint round
+  /// loop (see the header notes); any count, bitwise identical to solve()
+  /// per scenario.  Allocation-free once this thread's arena has grown to
+  /// the batch size.
   void solve_many(std::span<const std::span<const ExecBounds>> scenarios,
-                  const WarmBase* base,
                   std::span<AnalysisResult> results) const override;
   using PreparedAnalysis::solve_many;
 
-  /// The batched SoA driver: solves all scenarios as parallel lanes of one
-  /// round loop, each lane warm-started from `base` when non-null.
-  /// Requires worklist mode; `results` must match `scenarios` in size.
-  void solve_batch(std::span<const std::span<const ExecBounds>> scenarios,
-                   const BaseRecord* base, BatchScratch& scratch,
-                   std::span<AnalysisResult> results) const;
-
-  /// Per-worker scratch arena (thread-local), reused by every solve() on
-  /// any PreparedProblem this thread touches — across scenarios, candidates,
-  /// and GA generations.
-  static Scratch& thread_scratch();
-
-  /// Per-worker batched-solve arena (thread-local), like thread_scratch().
-  static BatchScratch& thread_batch_scratch();
+  /// Reference oracle: the original full sweep over every node in flat
+  /// order until a sweep changes nothing.  Same operator, same load and
+  /// best-case derivation as the lane driver; only the iteration scheme
+  /// differs.  For differential tests and benches, not production.
+  AnalysisResult solve_reference_sweep(
+      std::span<const ExecBounds> bounds) const;
 
  private:
   struct InEdge {
     std::size_t src;
     model::Time delay;
+  };
+
+  /// Solve state of `lanes` scenarios, structure-of-arrays, indexed
+  /// [lane * total + node].  Vectors grow on demand and keep their
+  /// capacity, so one arena per thread serves every problem it touches.
+  struct Lanes {
+    // Per (node, lane) problem inputs and fixed-point state.
+    std::vector<model::Time> c_min, c_max, release_cutoff;
+    std::vector<model::Time> min_start, min_finish, max_arrival, max_finish;
+    // Nodes whose inputs changed since their last visit, and nodes whose
+    // last computed window differs from the ratcheted state (these keep the
+    // reference sweep unstable; see the header notes).
+    std::vector<std::uint8_t> dirty, sticky;
+    // Per-lane driver state.
+    std::vector<std::uint8_t> lane_active, lane_round_stable, lane_diverged;
+    /// Lane proven to never certify a round within the budget (all-sticky
+    /// with no dirty work left): retired onto the same diverged fill the
+    /// exhausted-budget path produces.
+    std::vector<std::uint8_t> lane_exhausted;
+    std::vector<std::size_t> dirty_count, sticky_count;
+    /// Per-node counts of set dirty/sticky bits across lanes: a joint-scan
+    /// position with both counts zero is skipped for all lanes in one test.
+    std::vector<std::uint32_t> node_dirty, node_sticky;
+    /// Post-fold lane dedup: earlier lane with a bitwise-equal parameter
+    /// set (solved once, its solution copied at finalization), and each
+    /// lane's parameter-set signature gating the full compare.
+    std::vector<std::uint32_t> dup_of;
+    std::vector<std::uint64_t> lane_sig;
   };
 
   bool related(std::size_t i, std::size_t u) const noexcept {
@@ -243,7 +144,7 @@ class PreparedProblem final : public PreparedAnalysis {
   /// `sticky` means re-evaluating with unchanged inputs would report
   /// raw_changed again (computed window below the ratcheted state);
   /// `diverged` reports a bound past the horizon (the driver ORs it into
-  /// the solve-level flag).
+  /// the lane's verdict).
   struct UpdateOutcome {
     bool raw_changed = false;
     bool stored_changed = false;
@@ -251,17 +152,19 @@ class PreparedProblem final : public PreparedAnalysis {
     bool diverged = false;
   };
 
-  void load_bounds(std::span<const ExecBounds> bounds, Scratch& s) const;
-  void best_case(Scratch& s) const;
-  /// The worst-case operator over any state view (scalar Scratch or one
-  /// batch lane) — a single definition keeps the paths bitwise identical.
-  template <class State>
-  UpdateOutcome update_node_t(std::size_t i, State& state) const;
-  UpdateOutcome update_node(std::size_t i, Scratch& s) const;
-  void worst_case_worklist(Scratch& s, BaseRecord* record) const;
-  void worst_case_sweep(Scratch& s) const;
-  void solve_impl(std::span<const ExecBounds> bounds, Scratch& s,
-                  BaseRecord* record) const;
+  /// Thread-local arena used by every solve on this thread.
+  static Lanes& thread_lanes();
+
+  /// Sizes `b` for the scenarios, loads and validates their bounds, runs
+  /// the best-case pass, folds the cutoffs and seeds the worst-case state —
+  /// the one derivation both iteration schemes start from.
+  void load_lanes(std::span<const std::span<const ExecBounds>> scenarios,
+                  Lanes& b) const;
+  /// The worst-case operator on node i of the lane starting at `off`.
+  UpdateOutcome update_node(std::size_t i, Lanes& b, std::size_t off) const;
+  /// Packages one finished lane into the public result form.
+  void materialize(const Lanes& b, std::size_t lane, bool diverged,
+                   AnalysisResult& result) const;
 
   HolisticAnalysis::Options options_;
   std::size_t n_ = 0;      ///< application tasks
@@ -282,15 +185,10 @@ class PreparedProblem final : public PreparedAnalysis {
   std::vector<std::vector<InEdge>> in_edges_;
   std::vector<std::vector<std::size_t>> interferers_;
   std::vector<std::uint64_t> related_bits_;
-  /// input_bits_[i]: bitset row (words_ words) over the nodes the worst-case
-  /// operator reads when evaluating i — i itself, its precedence
-  /// predecessors, and its interferers.  Drives the memo-copy test of the
-  /// warm-started batch driver.
-  std::vector<std::uint64_t> input_bits_;
-  /// The same input sets as explicit node lists (CSR: input_offsets_[i] ..
-  /// input_offsets_[i+1] into input_nodes_, i itself excluded).  Drives the
-  /// cross-lane outcome-sharing test of the batch driver, which compares
-  /// two lanes' input values directly.
+  /// Input set of each node's worst-case equation as explicit node lists
+  /// (CSR: input_offsets_[i] .. input_offsets_[i+1] into input_nodes_, i
+  /// itself excluded): precedence predecessors and interferers.  Drives the
+  /// cross-lane sharing test, which compares two lanes' input values.
   std::vector<std::uint32_t> input_nodes_;
   std::vector<std::uint32_t> input_offsets_;
   /// Nodes in dependency-respecting order (precedence edges only).

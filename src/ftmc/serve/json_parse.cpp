@@ -1,8 +1,10 @@
 #include "ftmc/serve/json_parse.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace ftmc::serve {
 
@@ -26,12 +28,25 @@ double JsonValue::num_or(std::string_view key, double fallback) const {
                                                           : fallback;
 }
 
+std::optional<std::uint64_t> JsonValue::as_u64() const noexcept {
+  if (!integer || negative) return std::nullopt;
+  return magnitude;
+}
+
+std::optional<std::int64_t> JsonValue::as_i64() const noexcept {
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  if (!integer || magnitude > kMax + (negative ? 1 : 0)) return std::nullopt;
+  // Two's-complement negation in unsigned arithmetic covers -2^63 too.
+  return negative ? static_cast<std::int64_t>(~magnitude + 1)
+                  : static_cast<std::int64_t>(magnitude);
+}
+
 std::uint64_t JsonValue::u64_or(std::string_view key,
                                 std::uint64_t fallback) const {
   const JsonValue* value = get(key);
-  if (value == nullptr || value->kind != Kind::kNumber) return fallback;
-  if (value->number < 0.0) return fallback;
-  return static_cast<std::uint64_t>(value->number);
+  if (value == nullptr) return fallback;
+  return value->as_u64().value_or(fallback);
 }
 
 bool JsonValue::bool_or(std::string_view key, bool fallback) const {
@@ -260,6 +275,14 @@ class Parser {
     JsonValue result;
     result.kind = JsonValue::Kind::kNumber;
     result.number = value;
+    if (token.find_first_of(".eE") == std::string::npos) {
+      const bool negative = token.front() == '-';
+      const char* const last = token.data() + token.size();
+      const auto [ptr, ec] = std::from_chars(
+          token.data() + (negative ? 1 : 0), last, result.magnitude);
+      result.integer = ec == std::errc() && ptr == last;
+      result.negative = result.integer && negative && result.magnitude != 0;
+    }
     return result;
   }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -26,6 +27,11 @@ struct JsonValue {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
+  /// Integer tokens (no fraction or exponent part) whose magnitude fits 64
+  /// bits also keep their exact value, which `number` rounds above 2^53.
+  bool integer = false;
+  bool negative = false;
+  std::uint64_t magnitude = 0;
   std::string string;
   std::vector<JsonValue> array;
   /// Insertion order preserved; lookups take the first match.
@@ -35,10 +41,16 @@ struct JsonValue {
   bool is_object() const noexcept { return kind == Kind::kObject; }
   bool is_string() const noexcept { return kind == Kind::kString; }
 
+  /// Exact value of an integer token in range; nullopt for every other
+  /// value (fractions, exponents, out-of-range integers, non-numbers).
+  std::optional<std::uint64_t> as_u64() const noexcept;
+  std::optional<std::int64_t> as_i64() const noexcept;
+
   /// Object member by key, or nullptr (also for non-objects).
   const JsonValue* get(std::string_view key) const noexcept;
 
-  /// Typed accessors with defaults; wrong-kind members yield the default.
+  /// Typed accessors with defaults; wrong-kind members yield the default,
+  /// and so does any number u64_or cannot represent exactly (see as_u64).
   std::string str_or(std::string_view key,
                      const std::string& fallback) const;
   double num_or(std::string_view key, double fallback) const;

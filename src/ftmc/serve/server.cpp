@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <list>
 #include <map>
 #include <mutex>
@@ -162,9 +163,8 @@ void echo_id(obs::Json& response, const JsonValue* id) {
   if (id != nullptr && id->kind == JsonValue::Kind::kString) {
     response.set("id", id->string);
   } else if (id != nullptr && id->kind == JsonValue::Kind::kNumber) {
-    const auto integral = static_cast<std::int64_t>(id->number);
-    if (static_cast<double>(integral) == id->number)
-      response.set("id", obs::Json::integer(integral));
+    if (const auto integral = id->as_i64())
+      response.set("id", obs::Json::integer(*integral));
     else
       response.set("id", obs::Json::number(id->number));
   } else {
@@ -181,9 +181,7 @@ std::string id_text(const JsonValue* id) {
   if (id == nullptr) return {};
   if (id->kind == JsonValue::Kind::kString) return id->string;
   if (id->kind == JsonValue::Kind::kNumber) {
-    const auto integral = static_cast<std::int64_t>(id->number);
-    if (static_cast<double>(integral) == id->number)
-      return std::to_string(integral);
+    if (const auto integral = id->as_i64()) return std::to_string(*integral);
     return obs::Json::number(id->number).dump();
   }
   return {};
@@ -193,13 +191,26 @@ std::uint64_t read_gene(const JsonValue& item, const char* what,
                         std::uint64_t max) {
   if (item.kind != JsonValue::Kind::kNumber)
     throw std::runtime_error(std::string(what) + " entries must be numbers");
-  const double value = item.number;
-  const auto integral = static_cast<std::uint64_t>(value);
-  if (value < 0 || static_cast<double>(integral) != value || integral > max)
+  const std::optional<std::uint64_t> integral = item.as_u64();
+  if (!integral || *integral > max)
     throw std::runtime_error(std::string(what) +
                              " entries must be integers in [0, " +
                              std::to_string(max) + "]");
-  return integral;
+  return *integral;
+}
+
+/// params.<key> as an exact unsigned integer, `fallback` when absent.
+/// Anything else — a fraction, an exponent, a negative or out-of-range
+/// value, a non-number — is a bad_request naming the field.
+std::uint64_t param_u64(const JsonValue& params, const char* key,
+                        std::uint64_t fallback) {
+  const JsonValue* value = params.get(key);
+  if (value == nullptr) return fallback;
+  if (const std::optional<std::uint64_t> exact = value->as_u64())
+    return *exact;
+  throw std::runtime_error(
+      std::string("params.") + key + " must be an integer in [0, " +
+      std::to_string(std::numeric_limits<std::uint64_t>::max()) + "]");
 }
 
 std::vector<std::uint8_t> read_bits(const JsonValue* value,
@@ -316,7 +327,6 @@ struct Server::RequestInfo {
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
-      backend_(options_.kernel),
       pool_(options_.threads),
       started_at_(std::chrono::steady_clock::now()) {
   if (options_.system_paths.empty())
@@ -491,7 +501,8 @@ core::Candidate Server::request_candidate(ResidentSystem& sys,
     // repair to identical candidates wherever they are evaluated, so a
     // remote worker and an in-process run agree bitwise (params.seed is
     // the campaign seed; default 0).
-    util::Rng rng(dse::chromosome_hash(chromosome, params.u64_or("seed", 0)));
+    util::Rng rng(
+        dse::chromosome_hash(chromosome, param_u64(params, "seed", 0)));
     return sys.decoder->decode(chromosome, rng);
   }
   if (!sys.candidate.has_value())
@@ -567,9 +578,9 @@ obs::Json Server::handle_simulate(ResidentSystem& sys,
         "the system file has no candidate block; add one or run "
         "`ftmc optimize` first");
   sim::MonteCarloOptions mc;
-  mc.profiles = params.u64_or("profiles", 1000);
-  mc.seed = params.u64_or("seed", 1);
-  mc.hyperperiods = params.u64_or("hyperperiods", 1);
+  mc.profiles = param_u64(params, "profiles", 1000);
+  mc.seed = param_u64(params, "seed", 1);
+  mc.hyperperiods = param_u64(params, "hyperperiods", 1);
   mc.threads = options_.threads;
   // fault_prob travels as the user's verbatim string: the report title
   // embeds the spelling (the CLI prints the --fault-prob argument, not a

@@ -105,8 +105,6 @@ struct ServeOptions {
   /// tick, for node-exporter-style collection.  Empty disables it;
   /// requires the sampler.
   std::string prom_textfile;
-  /// WCRT-kernel toggles, same as the one-shot commands.
-  sched::HolisticAnalysis::Options kernel;
   /// Polled between requests/accepts; true requests a graceful drain
   /// (SIGINT/SIGTERM handler in the CLI).
   std::function<bool()> stop_requested;

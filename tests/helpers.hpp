@@ -18,6 +18,7 @@
 #include "ftmc/model/application_set.hpp"
 #include "ftmc/model/architecture.hpp"
 #include "ftmc/model/task_graph.hpp"
+#include "ftmc/sched/prepared_problem.hpp"
 #include "ftmc/sched/priority.hpp"
 #include "ftmc/util/rng.hpp"
 
@@ -138,6 +139,31 @@ inline std::vector<std::vector<sched::ExecBounds>> scenario_like_bounds(
   }
   return sets;
 }
+
+/// The holistic backend without its prepared kernel: it does not override
+/// prepare(), so McAnalysis reaches it through the rebuild-per-solve adapter
+/// and every solve rebuilds the whole problem.  With `sweep`, each solve runs
+/// the reference full sweep instead of the production lane driver.
+class RebuildBackend final : public sched::SchedulingAnalysis {
+ public:
+  explicit RebuildBackend(sched::HolisticAnalysis::Options options = {},
+                          bool sweep = false)
+      : options_(options), sweep_(sweep) {}
+
+  sched::AnalysisResult analyze(
+      const model::Architecture& arch, const model::ApplicationSet& apps,
+      const model::Mapping& mapping, std::span<const sched::ExecBounds> bounds,
+      std::span<const std::uint32_t> priorities) const override {
+    const sched::PreparedProblem problem(arch, apps, mapping, priorities,
+                                        options_);
+    return sweep_ ? problem.solve_reference_sweep(bounds)
+                  : problem.solve(bounds);
+  }
+
+ private:
+  sched::HolisticAnalysis::Options options_;
+  bool sweep_;
+};
 
 /// Bitwise equality of two backend results (windows, verdicts).
 inline void expect_same_result(const sched::AnalysisResult& a,

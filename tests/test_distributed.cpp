@@ -57,6 +57,21 @@ struct CampaignRig {
   sched::HolisticAnalysis backend;
 };
 
+// A diverged graph's WCRT is kUnschedulable (2^61 - 1); read through a
+// double it came back as 2^61, so a remote evaluation of a diverged
+// candidate differed from the in-process one.
+TEST(RemoteExecutor, EvaluationFromJsonReadsWcrtExactly) {
+  const JsonValue result = parse_json(
+      R"({"mapping_valid": true, "graph_wcrt": [2305843009213693951, 12]})");
+  const core::Evaluation evaluation = dist::evaluation_from_json(result);
+  ASSERT_EQ(evaluation.graph_wcrt.size(), 2u);
+  EXPECT_EQ(evaluation.graph_wcrt[0], sched::kUnschedulable);
+  EXPECT_EQ(evaluation.graph_wcrt[1], 12);
+  EXPECT_THROW(dist::evaluation_from_json(
+                   parse_json(R"({"graph_wcrt": [1.5]})")),
+               dse::ExecutorError);
+}
+
 /// A small island campaign: two seeds, epochs of two generations.
 dse::CampaignOptions island_options() {
   dse::CampaignOptions options;

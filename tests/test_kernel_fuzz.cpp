@@ -1,24 +1,18 @@
-// Randomized differential fuzz harness for the WCRT analysis kernel
-// (ISSUE 6): the four backend configurations
-//
-//   sweep        full-sweep global fixed point (worklist off; warm-start and
-//                batching are gated off with it),
-//   worklist     change-driven worklist, cold scalar solves (the ISSUE 2
-//                kernel: warm_start = false, scenario_batch = 1),
-//   warm         worklist + warm-started scenario solves (trajectory replay
-//                seeded from the captured base, scenario_batch = 1),
-//   warm+batch   worklist + warm-start + batched SoA scenario solving,
-//
-// must produce bitwise-identical bounds, schedulability verdicts, and
-// divergence flags on every input.  Each iteration draws a random system
-// (graph shapes, criticality mixes, utilization including overload,
-// bus/no-bus, offset-aware vs jitter-fallback) and a random decoded
-// candidate, then cross-checks the backends at two levels:
+// Randomized differential fuzz harness for the WCRT analysis kernel: the
+// production lane driver (PreparedProblem::solve / solve_many, as reached
+// through HolisticAnalysis) must produce bitwise-identical bounds,
+// schedulability verdicts, and divergence flags to the reference full
+// sweep (PreparedProblem::solve_reference_sweep) on every input.  Each
+// iteration draws a random system (graph shapes, criticality mixes,
+// utilization including overload, bus/no-bus, offset-aware vs
+// jitter-fallback) and a random decoded candidate, then cross-checks the two
+// at two levels:
 //
 //   - McAnalysis::analyze end-to-end (real transition scenarios, real
-//     release cutoffs, real dedup), and
-//   - PreparedProblem::solve_capture / solve_many against per-scenario
-//     cold solve() on scenario-shaped bounds vectors.
+//     release cutoffs, real dedup, pooled or sequential chunking), and
+//   - PreparedProblem::solve_many on 2-8 scenario-shaped bounds vectors at
+//     once (the lane count is the length of the span), against a reference
+//     sweep per vector.
 //
 // Every failure is SCOPED_TRACE-tagged with the iteration seed; rerun a
 // single failing input with FTMC_FUZZ_SEED=<seed> FTMC_FUZZ_ITERS=1.
@@ -29,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,6 +31,7 @@
 #include "ftmc/obs/metrics.hpp"
 #include "ftmc/sched/holistic.hpp"
 #include "ftmc/sched/prepared_problem.hpp"
+#include "ftmc/util/hash.hpp"
 #include "ftmc/util/rng.hpp"
 #include "ftmc/util/thread_pool.hpp"
 #include "helpers.hpp"
@@ -89,98 +83,51 @@ benchmarks::Benchmark random_benchmark(util::Rng& rng) {
       benchmarks::synthetic_applications(params)};
 }
 
-/// The four kernel configurations under test, sharing `base`'s regime
-/// toggles (bus contention, offset-aware vs jitter-fallback).
-struct BackendArms {
-  sched::HolisticAnalysis sweep;
-  sched::HolisticAnalysis worklist;
-  sched::HolisticAnalysis warm;
-  sched::HolisticAnalysis warm_batch;
-
-  explicit BackendArms(sched::HolisticAnalysis::Options base,
-                       std::size_t batch)
-      : sweep(with(base, /*worklist=*/false, false, 1)),
-        worklist(with(base, true, false, 1)),
-        warm(with(base, true, true, 1)),
-        warm_batch(with(base, true, true, batch)) {}
-
-  static sched::HolisticAnalysis::Options with(
-      sched::HolisticAnalysis::Options options, bool worklist, bool warm,
-      std::size_t batch) {
-    options.worklist_fixed_point = worklist;
-    options.warm_start = warm;
-    options.scenario_batch = batch;
-    return options;
-  }
-};
-
 void run_mc_level(const benchmarks::Benchmark& benchmark,
-                  const CandidateFixture& fx, const BackendArms& arms,
+                  const CandidateFixture& fx,
+                  const sched::HolisticAnalysis::Options& regime,
                   util::ThreadPool* pool) {
-  const core::McAnalysis sweep(arms.sweep);
-  const core::McAnalysis worklist(arms.worklist);
-  const core::McAnalysis warm(arms.warm);
-  const core::McAnalysis warm_batch(arms.warm_batch);
-
-  const auto reference = sweep.analyze(benchmark.arch, fx.system,
-                                       fx.candidate.drop);
-  {
-    SCOPED_TRACE("worklist vs sweep");
-    expect_same_mc_result(reference,
-                          worklist.analyze(benchmark.arch, fx.system,
-                                           fx.candidate.drop));
+  // The reference arm: every solve rebuilds the problem and sweeps.
+  const fixtures::RebuildBackend sweep_backend(regime, /*sweep=*/true);
+  const sched::HolisticAnalysis production_backend(regime);
+  const core::McAnalysis sweep(sweep_backend);
+  const core::McAnalysis production(production_backend);
+  for (const auto mode : {core::McAnalysis::Mode::kProposed,
+                          core::McAnalysis::Mode::kNaive}) {
+    SCOPED_TRACE(mode == core::McAnalysis::Mode::kProposed ? "proposed"
+                                                           : "naive");
+    const auto reference =
+        sweep.analyze(benchmark.arch, fx.system, fx.candidate.drop, mode);
+    const auto result = production.analyze(benchmark.arch, fx.system,
+                                           fx.candidate.drop, mode, pool);
+    expect_same_mc_result(reference, result);
+    // The solve count is a pure function of the inputs, not of how the
+    // kernel batches them.
+    EXPECT_EQ(reference.scenario_solves, result.scenario_solves);
   }
-  const auto warm_result =
-      warm.analyze(benchmark.arch, fx.system, fx.candidate.drop);
-  {
-    SCOPED_TRACE("warm vs sweep");
-    expect_same_mc_result(reference, warm_result);
-  }
-  const auto batch_result = warm_batch.analyze(
-      benchmark.arch, fx.system, fx.candidate.drop,
-      core::McAnalysis::Mode::kProposed, pool);
-  {
-    SCOPED_TRACE("warm+batch (pooled) vs sweep");
-    expect_same_mc_result(reference, batch_result);
-  }
-  // The solve count is a pure function of the inputs, not of the kernel
-  // configuration (warm/batched solves still count one per scenario).
-  EXPECT_EQ(warm_result.scenario_solves, batch_result.scenario_solves);
-  EXPECT_EQ(reference.scenario_solves, batch_result.scenario_solves);
 }
 
 void run_prepared_level(const benchmarks::Benchmark& benchmark,
-                        const CandidateFixture& fx, util::Rng& rng) {
-  const PreparedProblem cold(benchmark.arch, fx.system.apps,
-                             fx.system.mapping, fx.priorities,
-                             BackendArms::with({}, true, false, 1));
-  const PreparedProblem hot(benchmark.arch, fx.system.apps, fx.system.mapping,
-                            fx.priorities,
-                            BackendArms::with({}, true, true,
-                                              2 + rng.index(7)));
-
-  const auto bounds_sets =
-      scenario_like_bounds(fx.system, 3 + rng.index(8), rng);
-
-  // Capture a warm base on the first (nominal) vector, then solve the rest
-  // as one batch against it; reference is a cold scalar solve per vector.
-  std::unique_ptr<sched::PreparedAnalysis::WarmBase> base;
-  {
-    SCOPED_TRACE("solve_capture(nominal)");
-    expect_same_result(cold.solve(bounds_sets.front()),
-                       hot.solve_capture(bounds_sets.front(), base));
-  }
-  const std::vector<std::vector<sched::ExecBounds>> scenarios(
-      bounds_sets.begin() + 1, bounds_sets.end());
+                        const CandidateFixture& fx,
+                        const sched::HolisticAnalysis::Options& regime,
+                        util::Rng& rng) {
+  const PreparedProblem prepared(benchmark.arch, fx.system.apps,
+                                 fx.system.mapping, fx.priorities, regime);
+  const auto scenarios =
+      scenario_like_bounds(fx.system, 2 + rng.index(7), rng);
   std::vector<sched::AnalysisResult> batched(scenarios.size());
-  hot.solve_many(scenarios, base.get(), batched);
+  prepared.solve_many(scenarios, batched);
   for (std::size_t k = 0; k < scenarios.size(); ++k) {
-    SCOPED_TRACE("scenario " + std::to_string(k));
-    expect_same_result(cold.solve(scenarios[k]), batched[k]);
+    SCOPED_TRACE("lane " + std::to_string(k) + " of " +
+                 std::to_string(scenarios.size()));
+    const sched::AnalysisResult reference =
+        prepared.solve_reference_sweep(scenarios[k]);
+    expect_same_result(reference, batched[k]);
+    expect_same_result(reference, prepared.solve(scenarios[k]));
   }
 }
 
-TEST(KernelFuzz, FourBackendsBitwiseIdentical) {
+TEST(KernelFuzz, SweepAndLaneDriverBitwiseIdentical) {
   const std::size_t iters = env_size("FTMC_FUZZ_ITERS", 40);
   const std::uint64_t base_seed = env_u64("FTMC_FUZZ_SEED", 2024);
   util::ThreadPool pool(4);
@@ -197,10 +144,9 @@ TEST(KernelFuzz, FourBackendsBitwiseIdentical) {
     sched::HolisticAnalysis::Options regime;
     regime.bus_contention = rng.chance(0.5);
     regime.precedence_aware = rng.chance(0.8);
-    const BackendArms arms(regime, 2 + rng.index(7));
 
-    run_mc_level(benchmark, fx, arms, rng.chance(0.5) ? &pool : nullptr);
-    run_prepared_level(benchmark, fx, rng);
+    run_mc_level(benchmark, fx, regime, rng.chance(0.5) ? &pool : nullptr);
+    run_prepared_level(benchmark, fx, regime, rng);
     if (::testing::Test::HasFailure()) break;  // one seed is enough to debug
   }
 
@@ -208,12 +154,54 @@ TEST(KernelFuzz, FourBackendsBitwiseIdentical) {
   // Coverage guard: the random inputs must actually have driven the paths
   // under test, or the bitwise assertions above prove nothing.
   const obs::MetricsSnapshot snapshot = obs::snapshot();
-  EXPECT_GT(snapshot.value_of("sched.warmstart.bases"), 0u);
-  EXPECT_GT(snapshot.value_of("sched.warmstart.solves"), 0u);
+  EXPECT_GT(snapshot.value_of("sched.sweep.node_evals"), 0u);
   EXPECT_GT(snapshot.value_of("sched.batch.solves"), 0u);
   EXPECT_GT(snapshot.value_of("sched.batch.lanes"),
             snapshot.value_of("sched.batch.solves"));
+  EXPECT_GT(snapshot.value_of("sched.batch.shared_evals"), 0u);
+  EXPECT_GT(snapshot.value_of("sched.batch.dup_lanes"), 0u);
 #endif
+}
+
+// Cross-commit golden digest: every other kernel test here is a within-build
+// differential, so none of them would notice the production path's output
+// drifting between commits.  This pins an FNV-1a digest of McAnalysis WCRT
+// vectors, normal-state windows and verdicts over the generator's first 40
+// seeds (fixed base 2024, independent of FTMC_FUZZ_SEED), both modes, bus
+// contention off and on.  The digest is over host-order bytes, so it is
+// only meaningful on a little-endian 64-bit ABI.
+TEST(KernelFuzz, McAnalysisGoldenDigest) {
+  util::Fnv1aHasher hasher;
+  for (std::uint64_t seed = 2024; seed < 2024 + 40; ++seed) {
+    util::Rng rng(seed * 0x9E3779B97F4A7C15ULL + 1);
+    const benchmarks::Benchmark benchmark = random_benchmark(rng);
+    const CandidateFixture fx = make_candidate(benchmark, rng);
+    for (const bool bus : {false, true}) {
+      sched::HolisticAnalysis::Options options;
+      options.bus_contention = bus;
+      const sched::HolisticAnalysis backend(options);
+      const core::McAnalysis analysis(backend);
+      for (const auto mode : {core::McAnalysis::Mode::kProposed,
+                              core::McAnalysis::Mode::kNaive}) {
+        const auto result =
+            analysis.analyze(benchmark.arch, fx.system, fx.candidate.drop,
+                             mode);
+        hasher.feed_range(std::span<const model::Time>(result.wcrt));
+        for (const sched::TaskWindow& window : result.normal.windows) {
+          hasher.feed(window.min_start);
+          hasher.feed(window.min_finish);
+          hasher.feed(window.max_start);
+          hasher.feed(window.max_finish);
+          hasher.feed(window.schedulable);
+        }
+        hasher.feed(result.normal.schedulable);
+        hasher.feed(result.normal_schedulable);
+        hasher.feed(result.critical_schedulable);
+        hasher.feed(static_cast<std::uint64_t>(result.scenario_count));
+      }
+    }
+  }
+  EXPECT_EQ(hasher.digest(), 0x76b21769b2737936ULL);
 }
 
 // The allocation-free arena construction (sparse edits over the all-critical
@@ -238,11 +226,11 @@ TEST(KernelFuzz, ArenaAndRebuildConstructionBitwiseIdentical) {
     sched::HolisticAnalysis::Options regime;
     regime.bus_contention = rng.chance(0.5);
     regime.precedence_aware = rng.chance(0.8);
-    const BackendArms arms(regime, 2 + rng.index(7));
+    const sched::HolisticAnalysis backend(regime);
 
-    const core::McAnalysis arena(arms.warm_batch);
+    const core::McAnalysis arena(backend);
     const core::McAnalysis rebuild(
-        arms.warm_batch, sched::PriorityPolicy::kRateMonotonic,
+        backend, sched::PriorityPolicy::kRateMonotonic,
         core::McAnalysis::Construction::kRebuild);
     util::ThreadPool* maybe_pool = rng.chance(0.5) ? &pool : nullptr;
     for (const auto mode : {core::McAnalysis::Mode::kProposed,

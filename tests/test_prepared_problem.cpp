@@ -1,20 +1,21 @@
-// Differential lockdown of the prepared-problem analysis kernel (ISSUE 2).
+// Differential lockdown of the prepared-problem analysis kernel.
 //
 // The kernel restructures the holistic backend three ways — build the
 // problem once per candidate and solve N bounds vectors against it, pack the
 // relation matrix as bitset rows, and run the worst-case fixed point as a
-// change-driven worklist in topological order.  Every restructuring must be
+// change-driven worklist over lanes.  Every restructuring must be
 // observationally invisible: these tests pin
 //
 //   - prepare-once/solve-N against N independent monolithic analyze() calls,
-//   - the worklist fixed point against the reference full-sweep mode,
+//   - the worklist fixed point against the reference full sweep
+//     (PreparedProblem::solve_reference_sweep),
 //   - prepared-kernel McAnalysis against the rebuild-per-solve adapter,
 //   - GA search trajectories with the kernel on vs. off,
 //
 // bitwise, across >= 100 seeded candidates, in both the offset-aware and
 // the classical jitter-fallback regimes, sequentially and on a thread pool,
-// including diverged (unschedulable) problems and scratch reuse across
-// different problems.
+// including diverged (unschedulable) problems and one thread's lane arena
+// reused across different problems.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -36,17 +37,17 @@ using fixtures::CandidateFixture;
 using fixtures::expect_same_mc_result;
 using fixtures::expect_same_result;
 using fixtures::make_candidate;
+using fixtures::RebuildBackend;
 using fixtures::scenario_like_bounds;
 using sched::PreparedProblem;
 
-/// Core differential: one PreparedProblem, N solves on one reused scratch,
-/// against N monolithic analyze() calls and against the reference sweep
-/// mode — in both interference regimes.
+/// Core differential: one PreparedProblem, N solves on this thread's lane
+/// arena (shared across candidates), against N monolithic analyze() calls
+/// and against the reference sweep — in both interference regimes.
 void run_backend_differential(const benchmarks::Benchmark& benchmark,
                               std::size_t candidate_count,
                               std::uint64_t seed) {
   util::Rng rng(seed);
-  PreparedProblem::Scratch scratch;  // shared across candidates on purpose
   for (std::size_t c = 0; c < candidate_count; ++c) {
     const CandidateFixture fx = make_candidate(benchmark, rng);
     const auto bounds_sets = scenario_like_bounds(fx.system, 6, rng);
@@ -56,15 +57,9 @@ void run_backend_differential(const benchmarks::Benchmark& benchmark,
       sched::HolisticAnalysis::Options options;
       options.precedence_aware = offset_aware;
       const sched::HolisticAnalysis monolithic(options);
-
-      sched::HolisticAnalysis::Options sweep_options = options;
-      sweep_options.worklist_fixed_point = false;
       const PreparedProblem prepared(benchmark.arch, fx.system.apps,
                                      fx.system.mapping, fx.priorities,
                                      options);
-      const PreparedProblem prepared_sweep(benchmark.arch, fx.system.apps,
-                                           fx.system.mapping, fx.priorities,
-                                           sweep_options);
 
       for (const auto& bounds : bounds_sets) {
         const sched::AnalysisResult reference = monolithic.analyze(
@@ -72,13 +67,12 @@ void run_backend_differential(const benchmarks::Benchmark& benchmark,
             fx.priorities);
         {
           SCOPED_TRACE("worklist arm");
-          prepared.solve(bounds, scratch);
-          expect_same_result(reference, prepared.materialize(scratch));
+          expect_same_result(reference, prepared.solve(bounds));
         }
         {
           SCOPED_TRACE("sweep arm");
-          prepared_sweep.solve(bounds, scratch);
-          expect_same_result(reference, prepared_sweep.materialize(scratch));
+          expect_same_result(reference,
+                             prepared.solve_reference_sweep(bounds));
         }
       }
     }
@@ -99,7 +93,6 @@ TEST(PreparedProblemDifferential, Synth2SolveNEqualsNAnalyzeCalls) {
 TEST(PreparedProblemDifferential, BusContentionMessageNodesMatch) {
   const benchmarks::Benchmark benchmark = benchmarks::synth_benchmark(1);
   util::Rng rng(33);
-  PreparedProblem::Scratch scratch;
   for (std::size_t c = 0; c < 10; ++c) {
     SCOPED_TRACE("candidate " + std::to_string(c));
     const CandidateFixture fx = make_candidate(benchmark, rng);
@@ -109,11 +102,10 @@ TEST(PreparedProblemDifferential, BusContentionMessageNodesMatch) {
     const PreparedProblem prepared(benchmark.arch, fx.system.apps,
                                    fx.system.mapping, fx.priorities, options);
     for (const auto& bounds : scenario_like_bounds(fx.system, 4, rng)) {
-      prepared.solve(bounds, scratch);
       expect_same_result(
           monolithic.analyze(benchmark.arch, fx.system.apps,
                              fx.system.mapping, bounds, fx.priorities),
-          prepared.materialize(scratch));
+          prepared.solve(bounds));
     }
   }
 }
@@ -168,26 +160,23 @@ TEST(PreparedProblemDifferential, DivergedProblemMatchesInEveryMode) {
                  apps.task(apps.task_ref(i)).wcet};
 
   for (const bool offset_aware : {true, false}) {
-    for (const bool worklist : {true, false}) {
-      SCOPED_TRACE((offset_aware ? "offset-aware" : "jitter-fallback") +
-                   std::string(worklist ? ", worklist" : ", sweep"));
-      sched::HolisticAnalysis::Options options;
-      options.precedence_aware = offset_aware;
-      options.worklist_fixed_point = worklist;
-      const sched::HolisticAnalysis backend(options);
-      const auto result =
-          backend.analyze(arch, apps, mapping, bounds, priorities);
-      EXPECT_FALSE(result.schedulable);
+    SCOPED_TRACE(offset_aware ? "offset-aware" : "jitter-fallback");
+    sched::HolisticAnalysis::Options options;
+    options.precedence_aware = offset_aware;
+    const sched::HolisticAnalysis backend(options);
+    const auto result =
+        backend.analyze(arch, apps, mapping, bounds, priorities);
+    EXPECT_FALSE(result.schedulable);
 
-      const PreparedProblem prepared(arch, apps, mapping, priorities,
-                                     options);
-      expect_same_result(result, prepared.solve(bounds));
-    }
+    const PreparedProblem prepared(arch, apps, mapping, priorities, options);
+    expect_same_result(result, prepared.solve(bounds));
+    expect_same_result(result, prepared.solve_reference_sweep(bounds));
   }
 }
 
-// Scratch is problem-agnostic: reusing one scratch across problems of
-// different sizes must not leak state between them.
+// The lane arena is problem-agnostic: back-to-back problems of different
+// sizes and lane counts on one thread's arena must not leak state between
+// them.  References come from the sweep, which runs on private state.
 TEST(PreparedProblem, ScratchReuseAcrossProblemsIsClean) {
   const benchmarks::Benchmark big = benchmarks::synth_benchmark(2);
   const benchmarks::Benchmark small = benchmarks::synth_benchmark(1);
@@ -203,16 +192,18 @@ TEST(PreparedProblem, ScratchReuseAcrossProblemsIsClean) {
   const auto bounds_big = core::nominal_bounds_of(fx_big.system);
   const auto bounds_small = core::nominal_bounds_of(fx_small.system);
 
-  PreparedProblem::Scratch fresh_a, fresh_b, reused;
-  prepared_big.solve(bounds_big, fresh_a);
-  prepared_small.solve(bounds_small, fresh_b);
-  // Large problem first, then the smaller one on the same scratch.
-  prepared_big.solve(bounds_big, reused);
-  expect_same_result(prepared_big.materialize(fresh_a),
-                     prepared_big.materialize(reused));
-  prepared_small.solve(bounds_small, reused);
-  expect_same_result(prepared_small.materialize(fresh_b),
-                     prepared_small.materialize(reused));
+  const auto reference_big = prepared_big.solve_reference_sweep(bounds_big);
+  const auto reference_small =
+      prepared_small.solve_reference_sweep(bounds_small);
+  // Large problem first (eight lanes wide), then the smaller one on one
+  // lane, then the large one again.
+  const std::vector<std::vector<sched::ExecBounds>> wide(8, bounds_big);
+  std::vector<sched::AnalysisResult> wide_results(wide.size());
+  prepared_big.solve_many(wide, wide_results);
+  for (const auto& result : wide_results)
+    expect_same_result(reference_big, result);
+  expect_same_result(reference_small, prepared_small.solve(bounds_small));
+  expect_same_result(reference_big, prepared_big.solve(bounds_big));
 }
 
 TEST(PreparedProblem, RejectsMalformedInputs) {
@@ -236,16 +227,14 @@ TEST(PreparedProblem, RejectsMalformedInputs) {
 }
 
 // McAnalysis end-to-end: the prepared kernel against the rebuild-per-solve
-// adapter (Options::prepared_kernel = false), both Algorithm-1 modes,
+// adapter (RebuildBackend), both Algorithm-1 modes,
 // sequential and on a pool — real transition scenarios, real dedup, real
 // release cutoffs.
 void run_mc_differential(const benchmarks::Benchmark& benchmark,
                          std::size_t candidate_count, std::uint64_t seed) {
   util::Rng rng(seed);
-  sched::HolisticAnalysis::Options rebuild_options;
-  rebuild_options.prepared_kernel = false;
   const sched::HolisticAnalysis prepared_backend;
-  const sched::HolisticAnalysis rebuild_backend(rebuild_options);
+  const RebuildBackend rebuild_backend;
   const core::McAnalysis with_kernel(prepared_backend);
   const core::McAnalysis without_kernel(rebuild_backend);
 
@@ -282,10 +271,8 @@ TEST(PreparedProblemDifferential, McAnalysisKernelOnOffIdenticalSynth2) {
 TEST(PreparedProblemDifferential, GaTrajectoryIdenticalKernelOnOff) {
   const model::Architecture arch = fixtures::test_arch(2);
   const model::ApplicationSet apps = fixtures::small_mixed_apps();
-  sched::HolisticAnalysis::Options rebuild_options;
-  rebuild_options.prepared_kernel = false;
   const sched::HolisticAnalysis prepared_backend;
-  const sched::HolisticAnalysis rebuild_backend(rebuild_options);
+  const RebuildBackend rebuild_backend;
 
   dse::GaOptions options;
   options.population = 16;

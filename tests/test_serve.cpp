@@ -13,13 +13,16 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ftmc/core/eval_store.hpp"
@@ -145,6 +148,34 @@ TEST(JsonParse, RejectsMalformedInput) {
   std::string deep;
   for (int i = 0; i < 80; ++i) deep += "[";
   EXPECT_THROW((void)parse_json(deep), JsonParseError);
+}
+
+// Integer tokens keep their exact 64-bit value beside the double, and
+// u64_or never casts an out-of-range double (which would be UB).
+TEST(JsonParse, IntegerTokensStayExact) {
+  const JsonValue root = parse_json(
+      R"({"max": 18446744073709551615, "min": -9223372036854775808,)"
+      R"( "sentinel": 2305843009213693951, "exp": 1e20, "frac": 1.5,)"
+      R"( "over": 18446744073709551616, "neg": -1, "zero": -0})");
+  EXPECT_EQ(root.get("max")->as_u64(),
+            std::optional<std::uint64_t>(18446744073709551615ULL));
+  EXPECT_FALSE(root.get("max")->as_i64().has_value());
+  EXPECT_EQ(root.get("min")->as_i64(),
+            std::optional<std::int64_t>(INT64_MIN));
+  EXPECT_FALSE(root.get("min")->as_u64().has_value());
+  // 2^61 - 1 (kUnschedulable): a double would read it back as 2^61.
+  EXPECT_EQ(root.get("sentinel")->as_i64(),
+            std::optional<std::int64_t>(2305843009213693951LL));
+  for (const char* key : {"exp", "frac", "over"}) {
+    SCOPED_TRACE(key);
+    EXPECT_FALSE(root.get(key)->as_u64().has_value());
+    EXPECT_FALSE(root.get(key)->as_i64().has_value());
+    EXPECT_EQ(root.u64_or(key, 7), 7u);
+  }
+  EXPECT_EQ(root.get("neg")->as_i64(), std::optional<std::int64_t>(-1));
+  EXPECT_EQ(root.u64_or("neg", 7), 7u);
+  EXPECT_EQ(root.get("zero")->as_u64(), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(root.u64_or("max", 0), 18446744073709551615ULL);
 }
 
 TEST(JsonParse, ErrorsNameTheByteOffset) {
@@ -338,6 +369,40 @@ TEST(Server, ErrorPathsFailTheRequestNotTheServer) {
   // The server still answers after five failed requests.
   EXPECT_TRUE(expect_ok(server.handle(R"({"v": "ftmc.rpc.v1", "method": "ping"})"))
                   .bool_or("pong", false));
+}
+
+// Integer params must be exact integers in range: a fraction is not
+// truncated and an out-of-range value is not cast (UB for 1e20), both are a
+// bad_request naming the field.  Numeric ids of any size echo without UB.
+TEST(Server, NonIntegralOrOutOfRangeParamsAreBadRequests) {
+  const std::string path = write_demo_system("int_params");
+  Server server(demo_options(path));
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"seed": 1e20})", "params.seed"},
+      {R"({"seed": 1.5})", "params.seed"},
+      {R"({"seed": 18446744073709551616})", "params.seed"},
+      {R"({"profiles": -1})", "params.profiles"},
+      {R"({"hyperperiods": "2"})", "params.hyperperiods"},
+  };
+  for (const auto& [params, field] : cases) {
+    SCOPED_TRACE(params);
+    const std::string response =
+        server.handle(R"({"v": "ftmc.rpc.v1", "method": "simulate",)"
+                      R"( "params": )" + params + "}");
+    EXPECT_EQ(expect_error_code(response), "bad_request");
+    EXPECT_NE(expect_error(response).find(field), std::string::npos);
+  }
+  // The largest seed is accepted exactly.
+  expect_ok(server.handle(
+      R"({"v": "ftmc.rpc.v1", "method": "simulate", "params":)"
+      R"( {"profiles": 2, "seed": 18446744073709551615}})"));
+  const JsonValue echoed = parse_json(
+      server.handle(R"({"v": "ftmc.rpc.v1", "id": 1e300, "method": "ping"})"));
+  EXPECT_EQ(echoed.get("id")->number, 1e300);
+  const JsonValue exact = parse_json(server.handle(
+      R"({"v": "ftmc.rpc.v1", "id": 9007199254740993, "method": "ping"})"));
+  EXPECT_EQ(exact.get("id")->as_i64(),
+            std::optional<std::int64_t>(9007199254740993LL));
 }
 
 TEST(Server, VersionGateRejectsMissingOrWrongVersion) {

@@ -68,7 +68,6 @@ int usage() {
       "  dot       emit Graphviz (hardened view when a candidate exists)\n"
       "  analyze   run Algorithm 1 on the file's candidate block\n"
       "            [--threads=N]  (parallel transition scenarios)\n"
-      "            [--no-warm-start] [--scenario-batch=N]\n"
       "  simulate  Monte-Carlo fault injection on the candidate\n"
       "            [--profiles=N] [--fault-prob=P] [--seed=S]\n"
       "            [--threads=N] [--trace-level=responses|jobs|full]\n"
@@ -80,7 +79,7 @@ int usage() {
       "            [--also=FILE,...]  (additional resident systems)\n"
       "            [--cache-dir=DIR] [--no-cache] [--max-requests=N]\n"
       "            [--max-connections=N]  (concurrent TCP sessions, def. 8)\n"
-      "            [--threads=N] [--no-warm-start] [--scenario-batch=N]\n"
+      "            [--threads=N]\n"
       "            [--access-log=FILE]  (JSONL per-request records)\n"
       "            [--slow-ms=N]  (escalate slow requests to the log)\n"
       "            [--sample-interval=MS]  (metrics sampler cadence,\n"
@@ -90,8 +89,7 @@ int usage() {
       "            [--seeds=A,B,...]  (multi-seed campaign, merged front)\n"
       "            [--threads=N] [--no-cache] [--sequential-scenarios]\n"
       "            [--no-dropping] [--power-only] [--out=FILE]\n"
-      "            [--no-warm-start] [--scenario-batch=N]  (WCRT kernel;\n"
-      "            throughput-only, results are bitwise identical)\n"
+
       "            [--telemetry-jsonl=FILE]  (per-generation stats stream)\n"
       "            [--front-json=FILE]       (final front as JSON)\n"
       "            [--max-seconds=S] [--max-evaluations=N] [--retries=N]\n"
@@ -116,20 +114,6 @@ int usage() {
       "  --chrome-trace=FILE   record spans, write Chrome trace-event JSON\n"
       "  --quiet               suppress progress output (results only)\n";
   return 2;
-}
-
-// Shared WCRT-kernel toggles for the commands that run Algorithm 1
-// (analyze/optimize).  Must run before parser.finish() so the options are
-// registered.  Both toggles are throughput-only: warm-started and batched
-// solves are bitwise-identical to the cold scalar path (guarded by the
-// kernel fuzz harness), so they are safe to flip mid-campaign on --resume.
-sched::HolisticAnalysis::Options parse_kernel_options(
-    cli::OptionParser& parser) {
-  sched::HolisticAnalysis::Options options;
-  options.warm_start = !parser.flag("no-warm-start");
-  options.scenario_batch =
-      parser.size("scenario-batch", options.scenario_batch);
-  return options;
 }
 
 core::Candidate require_candidate(const io::SystemSpec& spec) {
@@ -188,8 +172,8 @@ int cmd_info(const io::SystemSpec& spec, int argc, char** argv) {
 int cmd_analyze(const io::SystemSpec& spec, int argc, char** argv) {
   cli::OptionParser parser("analyze", argc, argv);
   const cli::CommonOptions common = cli::CommonOptions::parse(parser);
-  const sched::HolisticAnalysis backend(parse_kernel_options(parser));
   parser.finish();
+  const sched::HolisticAnalysis backend;
   const core::Candidate candidate = require_candidate(spec);
   // Transition scenarios are independent; fan them out unless --threads=1.
   std::optional<util::ThreadPool> pool;
@@ -278,8 +262,6 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
       cli::CommonOptions::parse(parser, /*with_checkpointing=*/true);
   const cli::CampaignOptions cli_options =
       cli::CampaignOptions::parse(parser, distributed);
-  const sched::HolisticAnalysis::Options kernel_options =
-      parse_kernel_options(parser);
   parser.finish();
 
   dse::CampaignOptions campaign_options;
@@ -404,7 +386,7 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
   std::signal(SIGINT, handle_interrupt);
   std::signal(SIGTERM, handle_interrupt);
 
-  const sched::HolisticAnalysis backend(kernel_options);
+  const sched::HolisticAnalysis backend;
   const dse::Campaign campaign(spec.arch, spec.apps, backend);
   const dse::CampaignResult result = campaign.run(campaign_options);
 
@@ -521,7 +503,6 @@ int cmd_serve(int argc, char** argv) {
   options.slow_ms = parser.size("slow-ms", 0);
   options.sample_interval_ms = parser.size("sample-interval", 1000);
   options.prom_textfile = parser.str("prom-textfile", "");
-  options.kernel = parse_kernel_options(parser);
   const bool stdio = parser.flag("stdio");
   const auto port = static_cast<std::uint16_t>(parser.u64("port", 0));
   const std::string port_file = parser.str("port-file", "");
