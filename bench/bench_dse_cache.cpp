@@ -161,8 +161,8 @@ int main(int argc, char** argv) {
     const RunOutcome cold = run_median(benchmark, options, reps);
 
     // Warm regime: an externally owned cache survives across runs; warm it
-    // once, then measure.  (The GA's run-local genotype memo dies with each
-    // run, so warm hits all flow through the candidate-keyed cache.)
+    // once, then measure.  (The candidate-keyed cache is the GA's only
+    // evaluation memo, so every warm hit is one of its lookups.)
     core::EvaluationCache shared_cache;
     dse::GaOptions warm_path = options;
     warm_path.evaluator.cache = &shared_cache;

@@ -338,8 +338,8 @@ bool EvalStore::index_lookup(std::uint64_t key, std::uint64_t* offset) const {
 }
 
 std::optional<Evaluation> EvalStore::read_record_locked(
-    std::uint64_t offset, std::uint64_t key, const Candidate& candidate,
-    bool* candidate_matches) const {
+    std::uint64_t offset, std::uint64_t key,
+    std::span<const std::uint8_t> candidate, bool* candidate_matches) const {
   *candidate_matches = false;
   const std::string path = log_path();
   std::uint8_t header[kRecordHeaderSize];
@@ -353,6 +353,10 @@ std::optional<Evaluation> EvalStore::read_record_locked(
                      " does not carry the indexed key");
   const std::size_t cand_bytes = load_u32(header + 8);
   const std::size_t eval_bytes = load_u32(header + 12);
+  // The record's candidate slice is write_candidate's output, the same
+  // bytes the caller encoded: a different length or content is a 64-bit
+  // collision, hence a miss.
+  if (cand_bytes != candidate.size()) return std::nullopt;
   const std::size_t payload = cand_bytes + eval_bytes;
   std::vector<std::uint8_t> copy;
   const std::uint8_t* body;
@@ -364,10 +368,10 @@ std::optional<Evaluation> EvalStore::read_record_locked(
               path);
     body = copy.data();
   }
+  if (!std::equal(candidate.begin(), candidate.end(), body))
+    return std::nullopt;
   try {
-    util::ByteReader in({body, payload}, "store record");
-    const Candidate stored = read_candidate(in);
-    if (!(stored == candidate)) return std::nullopt;  // collision -> miss
+    util::ByteReader in({body + cand_bytes, eval_bytes}, "store record");
     Evaluation evaluation = read_evaluation(in);
     *candidate_matches = true;
     return evaluation;
@@ -378,8 +382,8 @@ std::optional<Evaluation> EvalStore::read_record_locked(
   }
 }
 
-std::optional<Evaluation> EvalStore::find(std::uint64_t key,
-                                          const Candidate& candidate) {
+std::optional<Evaluation> EvalStore::find(
+    std::uint64_t key, std::span<const std::uint8_t> candidate) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t offset = 0;
   bool found = false;
@@ -404,22 +408,22 @@ std::optional<Evaluation> EvalStore::find(std::uint64_t key,
   return std::nullopt;
 }
 
-void EvalStore::put(std::uint64_t key, const Candidate& candidate,
+void EvalStore::put(std::uint64_t key,
+                    std::span<const std::uint8_t> candidate,
                     const Evaluation& evaluation) {
   if (options_.read_only)
     throw StoreError("evaluation store '" + dir_ +
                      "' is read-only: put() is not allowed");
-  util::ByteWriter body;
-  write_candidate(body, candidate);
-  const std::size_t cand_bytes = body.size();
-  write_evaluation(body, evaluation);
-  const std::vector<std::uint8_t> payload = body.take();
-  const std::size_t eval_bytes = payload.size() - cand_bytes;
+  util::ByteWriter evaluation_writer;
+  write_evaluation(evaluation_writer, evaluation);
+  const std::vector<std::uint8_t> encoded = evaluation_writer.take();
+  std::vector<std::uint8_t> payload(candidate.begin(), candidate.end());
+  payload.insert(payload.end(), encoded.begin(), encoded.end());
 
   util::ByteWriter record_writer;
   record_writer.u64(key);
-  record_writer.u32(static_cast<std::uint32_t>(cand_bytes));
-  record_writer.u32(static_cast<std::uint32_t>(eval_bytes));
+  record_writer.u32(static_cast<std::uint32_t>(candidate.size()));
+  record_writer.u32(static_cast<std::uint32_t>(encoded.size()));
   record_writer.u64(util::fnv1a_bytes(payload));
   std::vector<std::uint8_t> record = record_writer.take();
   record.insert(record.end(), payload.begin(), payload.end());

@@ -7,9 +7,10 @@
 // memoized evaluations survive restarts and are shared across campaign
 // shards, `ftmc optimize --cache-dir=` invocations, and `ftmc serve`
 // clients.  Keys are Evaluator::candidate_key values — the FNV-1a candidate
-// content hash seeded with the options fingerprint — and lookups verify the
-// stored candidate byte-for-byte, so a hash collision degrades to a miss,
-// never a wrong result (the same contract as EvaluationCache).
+// content hash seeded with the options fingerprint — and lookups compare the
+// record's candidate bytes with the caller's encode_candidate bytes, so a
+// hash collision degrades to a miss, never a wrong result (the same
+// contract as EvaluationCache, which holds the same bytes).
 //
 // On-disk layout under one directory:
 //
@@ -41,6 +42,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -94,14 +96,16 @@ class EvalStore {
   EvalStore(const EvalStore&) = delete;
   EvalStore& operator=(const EvalStore&) = delete;
 
-  /// Looks up `key` (an Evaluator::candidate_key) and verifies the stored
-  /// candidate matches exactly; a collision counts as a miss.
+  /// Looks up `key` (an Evaluator::candidate_key) and compares the
+  /// record's candidate slice with `candidate`, the encode_candidate bytes
+  /// of the candidate sought; a collision counts as a miss.
   std::optional<Evaluation> find(std::uint64_t key,
-                                 const Candidate& candidate);
+                                 std::span<const std::uint8_t> candidate);
 
-  /// Appends the evaluation for `key` (skipped when an identical candidate
-  /// is already resident).  Throws StoreError on a read-only store.
-  void put(std::uint64_t key, const Candidate& candidate,
+  /// Appends the evaluation for `key` under the encoded `candidate`
+  /// (skipped when an identical candidate is already resident).  Throws
+  /// StoreError on a read-only store.
+  void put(std::uint64_t key, std::span<const std::uint8_t> candidate,
            const Evaluation& evaluation);
 
   /// fsyncs the log and atomically rewrites the index to cover it; called
@@ -129,10 +133,10 @@ class EvalStore {
   void persist_index_locked();
   void absorb_sibling_records_locked();
   bool index_lookup(std::uint64_t key, std::uint64_t* offset) const;
-  std::optional<Evaluation> read_record_locked(std::uint64_t offset,
-                                               std::uint64_t key,
-                                               const Candidate& candidate,
-                                               bool* candidate_matches) const;
+  std::optional<Evaluation> read_record_locked(
+      std::uint64_t offset, std::uint64_t key,
+      std::span<const std::uint8_t> candidate,
+      bool* candidate_matches) const;
   void update_mapped_gauge_locked() const;
 
   std::string dir_;

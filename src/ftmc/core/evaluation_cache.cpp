@@ -45,15 +45,10 @@ EvaluationCache::EvaluationCache(std::size_t capacity, std::size_t shards,
 }
 
 std::size_t EvaluationCache::entry_footprint(
-    const Candidate& candidate, const Evaluation& evaluation) noexcept {
-  std::size_t bytes = sizeof(Entry);
-  bytes += (candidate.allocation.size() + candidate.drop.size() + 7) / 8;
-  bytes += candidate.plan.size() * sizeof(hardening::TaskHardening);
-  for (const hardening::TaskHardening& task : candidate.plan)
-    bytes += task.replica_pes.size() * sizeof(model::ProcessorId);
-  bytes += candidate.base_mapping.size() * sizeof(model::ProcessorId);
-  bytes += evaluation.graph_wcrt.size() * sizeof(model::Time);
-  return bytes;
+    std::span<const std::uint8_t> candidate,
+    const Evaluation& evaluation) noexcept {
+  return sizeof(Entry) + candidate.size() +
+         evaluation.graph_wcrt.size() * sizeof(model::Time);
 }
 
 void EvaluationCache::evict_one(Shard& shard, bool byte_bound) {
@@ -72,12 +67,14 @@ void EvaluationCache::evict_one(Shard& shard, bool byte_bound) {
   }
 }
 
-std::optional<Evaluation> EvaluationCache::find(std::uint64_t key,
-                                                const Candidate& candidate) {
+std::optional<Evaluation> EvaluationCache::find(
+    std::uint64_t key, std::span<const std::uint8_t> candidate) {
   Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mutex);
   const auto it = shard.table.find(key);
-  if (it == shard.table.end() || !(it->second.candidate == candidate)) {
+  if (it == shard.table.end() ||
+      !std::equal(it->second.candidate.begin(), it->second.candidate.end(),
+                  candidate.begin(), candidate.end())) {
     // Absent, or a 64-bit collision between distinct candidates: both are
     // misses — the caller recomputes, correctness is never at stake.
     ++shard.misses;
@@ -89,16 +86,20 @@ std::optional<Evaluation> EvaluationCache::find(std::uint64_t key,
   return it->second.evaluation;
 }
 
-void EvaluationCache::insert(std::uint64_t key, const Candidate& candidate,
+void EvaluationCache::insert(std::uint64_t key,
+                             std::span<const std::uint8_t> candidate,
                              const Evaluation& evaluation) {
   const std::size_t footprint = entry_footprint(candidate, evaluation);
+  // Built outside the lock; the range constructor sizes the buffer exactly,
+  // so the footprint is what the entry holds.
+  Entry entry{{candidate.begin(), candidate.end()}, evaluation};
   Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mutex);
   const auto it = shard.table.find(key);
   if (it != shard.table.end()) {
     shard.bytes -= entry_footprint(it->second.candidate,
                                    it->second.evaluation);
-    it->second = Entry{candidate, evaluation};
+    it->second = std::move(entry);
     shard.bytes += footprint;
     return;
   }
@@ -109,7 +110,7 @@ void EvaluationCache::insert(std::uint64_t key, const Candidate& candidate,
     while (!shard.table.empty() &&
            shard.bytes + footprint > shard_byte_capacity_)
       evict_one(shard, true);
-  shard.table.emplace(key, Entry{candidate, evaluation});
+  shard.table.emplace(key, std::move(entry));
   shard.bytes += footprint;
   ++shard.insertions;
   cache_counters().insertions.add(1);

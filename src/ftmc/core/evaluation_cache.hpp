@@ -7,8 +7,11 @@
 // This cache keys the full Evaluation by a stable 64-bit content hash of
 // the decoded Candidate (allocation, drop set, hardening plan, base
 // mapping) mixed with a fingerprint of the evaluator's options, and stores
-// the candidate itself so lookups verify exact equality — a hash collision
-// degrades to a miss, never to a wrong result.
+// the candidate's canonical bytes (core::encode_candidate, the encoding
+// EvalStore records carry) so lookups verify exact equality — a hash
+// collision degrades to a miss, never to a wrong result.  The bytes take
+// less memory than a Candidate struct, whose per-task replica vectors each
+// cost a heap block.
 //
 // Concurrency: the table is sharded by hash, one striped mutex per shard,
 // so concurrent GA workers mostly touch disjoint shards.  Eviction is a
@@ -20,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -69,19 +73,23 @@ class EvaluationCache {
   std::size_t capacity_bytes() const noexcept { return capacity_bytes_; }
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
-  /// Estimated resident footprint of one cached (candidate, evaluation)
-  /// pair — the unit the byte bound and CacheStats::bytes account in.
-  static std::size_t entry_footprint(const Candidate& candidate,
-                                     const Evaluation& evaluation) noexcept;
+  /// Resident footprint of one entry holding these candidate bytes and
+  /// this evaluation — the unit the byte bound and CacheStats::bytes
+  /// account in.
+  static std::size_t entry_footprint(
+      std::span<const std::uint8_t> candidate,
+      const Evaluation& evaluation) noexcept;
 
   /// Looks up `key` (as produced by Evaluator::candidate_key) and verifies
-  /// the stored candidate matches exactly.  Counts a hit or a miss.
+  /// the stored candidate bytes (core::encode_candidate) match exactly.
+  /// Counts a hit or a miss.
   std::optional<Evaluation> find(std::uint64_t key,
-                                 const Candidate& candidate);
+                                 std::span<const std::uint8_t> candidate);
 
-  /// Inserts (or overwrites) the evaluation for `key`, evicting an
-  /// arbitrary resident entry when the shard is at capacity.
-  void insert(std::uint64_t key, const Candidate& candidate,
+  /// Inserts (or overwrites) the evaluation for `key` under the encoded
+  /// `candidate`, evicting an arbitrary resident entry when the shard is at
+  /// capacity.
+  void insert(std::uint64_t key, std::span<const std::uint8_t> candidate,
               const Evaluation& evaluation);
 
   /// Consistent aggregate over all shards.
@@ -92,7 +100,7 @@ class EvaluationCache {
 
  private:
   struct Entry {
-    Candidate candidate;
+    std::vector<std::uint8_t> candidate;  ///< exact-size encode_candidate
     Evaluation evaluation;
   };
   struct Shard {

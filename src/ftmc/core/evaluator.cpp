@@ -6,6 +6,7 @@
 
 #include "ftmc/core/eval_store.hpp"
 #include "ftmc/core/evaluation_cache.hpp"
+#include "ftmc/core/serialize.hpp"
 #include "ftmc/util/hash.hpp"
 
 namespace ftmc::core {
@@ -87,10 +88,11 @@ Evaluation Evaluator::evaluate(const Candidate& candidate,
   if (options_.cache == nullptr && options_.store == nullptr)
     return evaluate_uncached(candidate);
 
+  // One encoding per lookup: both layers verify and store these bytes.
   const std::uint64_t key = candidate_key(candidate);
+  const std::vector<std::uint8_t> bytes = encode_candidate(candidate);
   if (options_.cache != nullptr) {
-    if (std::optional<Evaluation> cached =
-            options_.cache->find(key, candidate)) {
+    if (std::optional<Evaluation> cached = options_.cache->find(key, bytes)) {
       if (cache_hit != nullptr) *cache_hit = true;
       return *std::move(cached);
     }
@@ -98,10 +100,9 @@ Evaluation Evaluator::evaluate(const Candidate& candidate,
   if (options_.store != nullptr) {
     // L2: the persistent store.  A hit warms the in-process L1 so repeated
     // lookups stop paying the decode.
-    if (std::optional<Evaluation> stored =
-            options_.store->find(key, candidate)) {
+    if (std::optional<Evaluation> stored = options_.store->find(key, bytes)) {
       if (options_.cache != nullptr)
-        options_.cache->insert(key, candidate, *stored);
+        options_.cache->insert(key, bytes, *stored);
       if (cache_hit != nullptr) *cache_hit = true;
       return *std::move(stored);
     }
@@ -111,9 +112,8 @@ Evaluation Evaluator::evaluate(const Candidate& candidate,
   // identical value (evaluation is deterministic).
   Evaluation evaluation = evaluate_uncached(candidate);
   if (options_.cache != nullptr)
-    options_.cache->insert(key, candidate, evaluation);
-  if (options_.store != nullptr)
-    options_.store->put(key, candidate, evaluation);
+    options_.cache->insert(key, bytes, evaluation);
+  if (options_.store != nullptr) options_.store->put(key, bytes, evaluation);
   return evaluation;
 }
 

@@ -20,6 +20,12 @@ void write_candidate(util::ByteWriter& out, const Candidate& candidate) {
   for (model::ProcessorId pe : candidate.base_mapping) out.u32(pe.value);
 }
 
+std::vector<std::uint8_t> encode_candidate(const Candidate& candidate) {
+  util::ByteWriter out;
+  write_candidate(out, candidate);
+  return out.take();
+}
+
 Candidate read_candidate(util::ByteReader& in) {
   Candidate candidate;
   candidate.allocation = in.bits();

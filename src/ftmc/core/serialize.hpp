@@ -18,6 +18,11 @@ namespace ftmc::core {
 void write_candidate(util::ByteWriter& out, const Candidate& candidate);
 Candidate read_candidate(util::ByteReader& in);
 
+/// write_candidate's bytes alone: the canonical form EvaluationCache
+/// entries hold and EvalStore records carry (equal bytes iff equal
+/// candidates, since every sequence is length-prefixed).
+std::vector<std::uint8_t> encode_candidate(const Candidate& candidate);
+
 void write_evaluation(util::ByteWriter& out, const Evaluation& evaluation);
 Evaluation read_evaluation(util::ByteReader& in);
 

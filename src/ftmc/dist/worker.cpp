@@ -1,8 +1,6 @@
 #include "ftmc/dist/worker.hpp"
 
 #include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -55,8 +53,7 @@ int connect_to(const std::string& host, std::uint16_t port) {
   if (fd < 0)
     throw std::runtime_error("cannot connect to worker " + host + ":" +
                              service);
-  const int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  serve::set_no_delay(fd);
   return fd;
 }
 

@@ -4,9 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "ftmc/dse/checkpoint.hpp"
 #include "ftmc/dse/executor.hpp"
@@ -56,7 +54,6 @@ namespace {
 struct GaCounters {
   obs::Counter generations{"dse.generations"};
   obs::Counter evaluations{"dse.evaluations"};
-  obs::Counter decode_memo_hits{"dse.decode_memo_hits"};
   obs::Counter resume_generations{"dse.resume.generations_restored"};
   obs::Histogram eval_us{"dse.eval_us"};
 };
@@ -89,7 +86,6 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
 
   util::Rng master(options.seed);
   util::ThreadPool pool(options.threads);
-  std::mutex observer_mutex;
 
   // Run-local memoization + scenario parallelism: all workers share one
   // cache and, when enabled, fan each candidate's Algorithm-1 scenarios
@@ -119,23 +115,6 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
   GaResult result;
   result.best_feasible_power = std::numeric_limits<double>::quiet_NaN();
 
-  // Genotype-level memo in front of the candidate cache.  Decode randomness
-  // is seeded from the chromosome's content hash, so decode + repair +
-  // evaluation is a pure function of the genotype (for a fixed options
-  // seed): a recurring chromosome can skip the whole pipeline, including
-  // the reliability-repair attempts that make decoding itself expensive.
-  // Exact genotype equality guards against hash collisions, mirroring the
-  // EvaluationCache contract (a collision degrades to a miss, never to a
-  // wrong result).
-  struct DecodeMemoEntry {
-    Chromosome genotype;  ///< pre-repair content (the key's preimage)
-    Chromosome repaired;  ///< post-Lamarckian-repair genotype
-    core::Candidate candidate;
-    core::Evaluation evaluation;
-  };
-  std::mutex memo_mutex;
-  std::unordered_map<std::uint64_t, DecodeMemoEntry> decode_memo;
-
   // Per-batch counters, copied into the following generation's stats.
   struct BatchStats {
     std::size_t evaluations = 0;
@@ -148,19 +127,18 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
   } last_batch;
 
   // Evaluates a batch of chromosomes; repair mutates the chromosomes in
-  // place (Lamarckian), so the batch is taken by reference.  Three phases:
-  // (1) parallel decode-memo lookup + decode/repair, (2) one executor call
-  // covering every memo miss (so a remote backend sees the whole
-  // generation as one batch), (3) sequential fold of the outcomes back
-  // into individuals, memo, and telemetry.  The phases compute exactly
-  // what the pre-executor fused loop did, in a batch-friendly order.
+  // place (Lamarckian), so the batch is taken by reference.  Two phases:
+  // (1) parallel decode/repair, (2) one executor call covering the whole
+  // batch (so a remote backend sees the generation as one batch), then a
+  // sequential fold of the outcomes into individuals and telemetry.  A
+  // recurring genotype decodes to the same candidate and write-back again
+  // and is answered by the candidate-keyed cache.
   auto evaluate_batch = [&](std::vector<Chromosome>& batch) {
     obs::Span batch_span("ga.evaluate_batch");
     std::vector<Individual> individuals(batch.size());
     std::vector<double> latencies(batch.size(), 0.0);
-    std::vector<std::uint64_t> keys(batch.size(), 0);
     std::vector<Chromosome> genotypes(batch.size());
-    std::vector<char> memoized(batch.size(), 0);
+    std::vector<EvalRequest> requests(batch.size());
     const auto start = std::chrono::steady_clock::now();
 
     pool.parallel_for(batch.size(), [&](std::size_t index) {
@@ -170,86 +148,40 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
       // Decode randomness (random repair) is seeded from the chromosome's
       // content, not the population slot: identical genotypes then repair
       // to identical candidates no matter where or when they recur.  That
-      // determinism is what makes the genotype memo and the candidate
-      // cache sound — and keeps the run reproducible for a fixed seed.
+      // determinism is what makes the candidate cache sound and remote
+      // decoding bit-identical — and keeps the run reproducible for a
+      // fixed seed.
       const std::uint64_t key = chromosome_hash(batch[index], options.seed);
-      keys[index] = key;
-
-      bool memo_hit = false;
-      if (options.cache_evaluations) {
-        std::lock_guard lock(memo_mutex);
-        const auto found = decode_memo.find(key);
-        if (found != decode_memo.end() &&
-            found->second.genotype == batch[index]) {
-          batch[index] = found->second.repaired;  // Lamarckian write-back
-          individual.chromosome = found->second.repaired;
-          individual.candidate = found->second.candidate;
-          individual.evaluation = found->second.evaluation;
-          memo_hit = true;
-          ga_counters().decode_memo_hits.add(1);
-        }
-      }
-
-      if (!memo_hit) {
-        genotypes[index] = batch[index];  // pre-repair wire form
-        util::Rng rng(key);
-        individual.candidate = decoder.decode(batch[index], rng);
-        individual.chromosome = batch[index];
-      }
-      memoized[index] = memo_hit ? 1 : 0;
+      genotypes[index] = batch[index];  // pre-repair wire form
+      util::Rng rng(key);
+      individual.candidate = decoder.decode(batch[index], rng);
+      individual.chromosome = batch[index];
+      requests[index] = {&genotypes[index], &individual.candidate, key};
       latencies[index] = std::chrono::duration<double, std::micro>(
                              std::chrono::steady_clock::now() -
                              candidate_start)
                              .count();
     });
 
-    std::vector<std::size_t> pending;
-    pending.reserve(batch.size());
-    for (std::size_t index = 0; index < batch.size(); ++index)
-      if (memoized[index] == 0) pending.push_back(index);
-
-    std::vector<EvalRequest> requests(pending.size());
     std::vector<EvalOutcome> outcomes;
-    for (std::size_t slot = 0; slot < pending.size(); ++slot) {
-      const std::size_t index = pending[slot];
-      requests[slot].genotype = &genotypes[index];
-      requests[slot].candidate = &individuals[index].candidate;
-      requests[slot].key = keys[index];
-    }
     executor->evaluate(requests, outcomes);
 
-    std::size_t hits = batch.size() - pending.size();
+    std::size_t hits = 0;
     std::size_t scenarios = 0;
     std::size_t solves = 0;
-    for (std::size_t slot = 0; slot < pending.size(); ++slot) {
-      const std::size_t index = pending[slot];
+    for (std::size_t index = 0; index < batch.size(); ++index) {
       Individual& individual = individuals[index];
-      individual.evaluation = outcomes[slot].evaluation;
-      latencies[index] += outcomes[slot].latency_us;
-      if (outcomes[slot].cache_hit) {
+      individual.evaluation = std::move(outcomes[index].evaluation);
+      latencies[index] += outcomes[index].latency_us;
+      if (outcomes[index].cache_hit) {
         ++hits;
       } else {
         scenarios += individual.evaluation.scenario_count;
         solves += individual.evaluation.scenario_solves;
       }
-      if (options.cache_evaluations) {
-        std::lock_guard lock(memo_mutex);
-        if (decode_memo.size() < options.cache_capacity)
-          decode_memo.emplace(
-              keys[index],
-              DecodeMemoEntry{std::move(genotypes[index]), batch[index],
-                              individual.candidate, individual.evaluation});
-      }
-    }
-
-    for (std::size_t index = 0; index < batch.size(); ++index) {
-      Individual& individual = individuals[index];
       individual.objectives =
           objectives_of(individual.evaluation, options.optimize_service);
-      if (observer_) {
-        std::lock_guard lock(observer_mutex);
-        observer_(individual.candidate, individual.evaluation);
-      }
+      if (observer_) observer_(individual.candidate, individual.evaluation);
       ga_counters().eval_us.record(
           latencies[index] <= 0.0
               ? 0

@@ -80,13 +80,14 @@ struct GaOptions {
   /// differential tests).
   ///
   /// Precedence (enforced by validate()): a caller-provided
-  /// `evaluator.cache` is used as-is and `cache_capacity` then only bounds
-  /// the genotype memo; with no caller cache, the GA builds a run-local one
-  /// of `cache_capacity` entries.  Setting cache_evaluations=false while
-  /// also providing `evaluator.cache` is a contradiction and validate()
-  /// rejects it — there are no silent "ignored when set" rules.
+  /// `evaluator.cache` is used as-is and `cache_capacity` is then unused;
+  /// with no caller cache, the GA builds a run-local one of
+  /// `cache_capacity` entries.  Setting cache_evaluations=false while also
+  /// providing `evaluator.cache` is a contradiction and validate() rejects
+  /// it — there are no silent "ignored when set" rules.
   bool cache_evaluations = true;
-  /// Total entry bound of the run-local cache and the genotype memo.
+  /// Entry bound of the run-local cache (the only in-process evaluation
+  /// memo; a recurring genotype is decoded again and answered there).
   std::size_t cache_capacity = 1 << 16;
   /// Fan Algorithm 1's transition scenarios out over the same worker pool
   /// that evaluates candidates (nesting-safe; drains generation tails when
@@ -123,7 +124,7 @@ struct GaOptions {
   /// checkpoint_path is set, and returns with GaResult::interrupted.
   std::function<bool()> stop_requested;
 
-  /// Evaluation backend for memo-missing candidates (see executor.hpp).
+  /// Evaluation backend for every decoded batch (see executor.hpp).
   /// nullptr runs a run-local InProcessExecutor over the GA's own
   /// evaluator and pool — bit-for-bit the pre-executor behavior.  The
   /// executor choice never alters the trajectory (evaluations are pure
@@ -170,8 +171,8 @@ struct GaResult {
 
 class GeneticOptimizer {
  public:
-  /// Observes every evaluated candidate (called from worker threads under
-  /// an internal mutex).  Used by the Section-5.2 experiment to classify
+  /// Observes every evaluated candidate (called from the driving thread,
+  /// in batch order).  Used by the Section-5.2 experiment to classify
   /// candidates by dropping-enabled vs. dropping-disabled feasibility.
   using EvalObserver = std::function<void(const core::Candidate&,
                                           const core::Evaluation&)>;

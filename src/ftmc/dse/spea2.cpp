@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 namespace ftmc::dse {
 
@@ -29,18 +31,21 @@ double distance2(const ObjectiveVector& a, const ObjectiveVector& b) {
   return sum;
 }
 
-/// Sorted squared distances from each point to every other point.
-std::vector<std::vector<double>> distance_matrix(
-    const std::vector<ObjectiveVector>& points) {
-  const std::size_t n = points.size();
-  std::vector<std::vector<double>> distances(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    distances[i].reserve(n - 1);
-    for (std::size_t j = 0; j < n; ++j)
-      if (j != i) distances[i].push_back(distance2(points[i], points[j]));
-    std::sort(distances[i].begin(), distances[i].end());
+/// +1 when a dominates b, -1 when b dominates a, 0 otherwise: both
+/// directions of dominates() from one scan.
+int dominance(const ObjectiveVector& a, const ObjectiveVector& b) {
+  if (a.size() != b.size())
+    throw std::invalid_argument("dominates: dimensionality mismatch");
+  bool a_better = false;
+  bool b_better = false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a[k] < b[k])
+      a_better = true;
+    else if (b[k] < a[k])
+      b_better = true;
   }
-  return distances;
+  if (a_better == b_better) return 0;
+  return a_better ? 1 : -1;
 }
 
 }  // namespace
@@ -50,32 +55,44 @@ std::vector<double> spea2_fitness(const std::vector<ObjectiveVector>& points) {
   std::vector<double> fitness(n, 0.0);
   if (n == 0) return fitness;
 
-  // Strength and raw fitness.
+  // Strength and raw fitness from one dominance test per unordered pair.
+  // Raw fitness is a sum of integer strengths, so summing them as integers
+  // gives the same double in any order.
   std::vector<std::size_t> strength(n, 0);
-  std::vector<std::vector<bool>> dom(n, std::vector<bool>(n, false));
+  std::vector<std::pair<std::size_t, std::size_t>> dominated_by;
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      if (i != j && dominates(points[i], points[j])) {
-        dom[i][j] = true;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const int relation = dominance(points[i], points[j]);
+      if (relation > 0) {
         ++strength[i];
+        dominated_by.emplace_back(j, i);
+      } else if (relation < 0) {
+        ++strength[j];
+        dominated_by.emplace_back(i, j);
       }
-  for (std::size_t i = 0; i < n; ++i) {
-    double raw = 0.0;
-    for (std::size_t j = 0; j < n; ++j)
-      if (dom[j][i]) raw += static_cast<double>(strength[j]);
-    fitness[i] = raw;
-  }
-
-  // Density via k-th nearest neighbour.
-  const auto k = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
-  const auto distances = distance_matrix(points);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sigma = 0.0;
-    if (!distances[i].empty()) {
-      const std::size_t idx = std::min(k, distances[i].size()) - 1;
-      sigma = std::sqrt(distances[i][std::max<std::size_t>(idx, 0)]);
     }
-    fitness[i] += 1.0 / (sigma + 2.0);
+  std::vector<std::size_t> raw(n, 0);
+  for (const auto& [dominated, dominator] : dominated_by)
+    raw[dominated] += strength[dominator];
+
+  // Density via the k-th nearest neighbour, selected in one reused row
+  // (distance2 is symmetric bit for bit, so row i holds the same values a
+  // full distance matrix would).
+  const auto k = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
+  std::vector<double> row;
+  row.reserve(n - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    row.clear();
+    for (std::size_t j = 0; j < n; ++j)
+      if (j != i) row.push_back(distance2(points[i], points[j]));
+    double sigma = 0.0;
+    if (!row.empty()) {
+      const auto kth = row.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(k, row.size()) - 1);
+      std::nth_element(row.begin(), kth, row.end());
+      sigma = std::sqrt(*kth);
+    }
+    fitness[i] = static_cast<double>(raw[i]) + 1.0 / (sigma + 2.0);
   }
   return fitness;
 }

@@ -27,7 +27,8 @@ using ObjectiveVector = std::vector<double>;
 /// Pareto dominance (minimization): a <= b in all objectives, < in one.
 bool dominates(const ObjectiveVector& a, const ObjectiveVector& b);
 
-/// SPEA2 fitness for every individual of the combined population.
+/// SPEA2 fitness for every individual of the combined population, in
+/// O(N^2) time (tests/spea2_reference.hpp keeps the sorting original).
 std::vector<double> spea2_fitness(const std::vector<ObjectiveVector>& points);
 
 /// Indices selected into the next archive of size `capacity`.

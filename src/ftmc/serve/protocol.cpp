@@ -1,5 +1,8 @@
 #include "ftmc/serve/protocol.hpp"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,6 +16,11 @@ std::string frame(std::string_view payload) {
   out.push_back('\n');
   out.append(payload);
   return out;
+}
+
+void set_no_delay(int fd) noexcept {
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 void write_frame(int fd, std::string_view payload) {

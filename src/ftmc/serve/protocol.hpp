@@ -35,6 +35,11 @@ constexpr std::size_t kMaxFramePayload = 64u << 20;
 /// A payload wrapped in its frame ("<len>\n<payload>"), for clients/tests.
 std::string frame(std::string_view payload);
 
+/// Disables Nagle's algorithm on a TCP socket (best effort).  Both ends of
+/// a pipelined session need it: otherwise a small frame written while an
+/// earlier one is unacknowledged waits for the peer's delayed ACK.
+void set_no_delay(int fd) noexcept;
+
 /// Writes one frame to `fd`, handling short writes.  Throws ProtocolError
 /// on I/O failure (e.g. the peer hung up).
 void write_frame(int fd, std::string_view payload);

@@ -1192,6 +1192,7 @@ int Server::serve_tcp(std::uint16_t port, const std::string& port_file) {
       exit_code = 1;
       break;
     }
+    set_no_delay(conn_fd);
     counters().connections.add(1);
     stats_.connections.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard lock(sessions_mutex);

@@ -16,9 +16,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftmc/core/evaluation_cache.hpp"
+#include "ftmc/core/serialize.hpp"
 #include "ftmc/dse/ga.hpp"
 #include "ftmc/sched/holistic.hpp"
 #include "ftmc/util/file_io.hpp"
@@ -52,6 +54,11 @@ Candidate make_candidate(std::uint64_t variant) {
         (i + variant) % arch.processor_count())};
   candidate.drop[0] = (variant % 2) != 0;
   return candidate;
+}
+
+/// What the Evaluator hands the store: the candidate's canonical bytes.
+std::vector<std::uint8_t> candidate_bytes(std::uint64_t variant) {
+  return core::encode_candidate(make_candidate(variant));
 }
 
 Evaluation make_evaluation(std::uint64_t variant) {
@@ -93,9 +100,9 @@ TEST(EvalStore, RoundTripWithinOneOpen) {
   const std::string dir = fresh_store_dir("roundtrip");
   EvalStore store(dir);
   for (std::uint64_t i = 0; i < 8; ++i)
-    store.put(1000 + i, make_candidate(i), make_evaluation(i));
+    store.put(1000 + i, candidate_bytes(i), make_evaluation(i));
   for (std::uint64_t i = 0; i < 8; ++i) {
-    const auto found = store.find(1000 + i, make_candidate(i));
+    const auto found = store.find(1000 + i, candidate_bytes(i));
     ASSERT_TRUE(found.has_value()) << i;
     expect_same_evaluation(*found, make_evaluation(i));
   }
@@ -110,13 +117,13 @@ TEST(EvalStore, SurvivesReopen) {
   {
     EvalStore store(dir);
     for (std::uint64_t i = 0; i < 5; ++i)
-      store.put(i, make_candidate(i), make_evaluation(i));
+      store.put(i, candidate_bytes(i), make_evaluation(i));
   }  // destructor flushes (fsync + index rewrite)
   EvalStore reopened(dir);
   EXPECT_EQ(reopened.stats().records, 5u);
   EXPECT_GT(reopened.stats().bytes_mapped, 0u);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    const auto found = reopened.find(i, make_candidate(i));
+    const auto found = reopened.find(i, candidate_bytes(i));
     ASSERT_TRUE(found.has_value()) << i;
     expect_same_evaluation(*found, make_evaluation(i));
   }
@@ -125,31 +132,31 @@ TEST(EvalStore, SurvivesReopen) {
 TEST(EvalStore, HashCollisionDegradesToMiss) {
   const std::string dir = fresh_store_dir("collision");
   EvalStore store(dir);
-  store.put(7, make_candidate(0), make_evaluation(0));
+  store.put(7, candidate_bytes(0), make_evaluation(0));
   // Same key, different candidate bytes: must be a miss, never the wrong
   // evaluation.
-  EXPECT_FALSE(store.find(7, make_candidate(1)).has_value());
+  EXPECT_FALSE(store.find(7, candidate_bytes(1)).has_value());
   EXPECT_EQ(store.stats().misses, 1u);
-  EXPECT_TRUE(store.find(7, make_candidate(0)).has_value());
+  EXPECT_TRUE(store.find(7, candidate_bytes(0)).has_value());
 }
 
 TEST(EvalStore, DuplicatePutIsSkipped) {
   const std::string dir = fresh_store_dir("dup");
   EvalStore store(dir);
-  store.put(3, make_candidate(0), make_evaluation(0));
-  store.put(3, make_candidate(0), make_evaluation(0));
+  store.put(3, candidate_bytes(0), make_evaluation(0));
+  store.put(3, candidate_bytes(0), make_evaluation(0));
   EXPECT_EQ(store.stats().appends, 1u);
   EXPECT_EQ(store.stats().records, 1u);
 }
 
 TEST(EvalStore, ReadOnlyRejectsPut) {
   const std::string dir = fresh_store_dir("readonly");
-  { EvalStore store(dir); store.put(1, make_candidate(1), make_evaluation(1)); }
+  { EvalStore store(dir); store.put(1, candidate_bytes(1), make_evaluation(1)); }
   EvalStoreOptions options;
   options.read_only = true;
   EvalStore store(dir, options);
-  EXPECT_TRUE(store.find(1, make_candidate(1)).has_value());
-  EXPECT_THROW(store.put(2, make_candidate(2), make_evaluation(2)),
+  EXPECT_TRUE(store.find(1, candidate_bytes(1)).has_value());
+  EXPECT_THROW(store.put(2, candidate_bytes(2), make_evaluation(2)),
                StoreError);
 }
 
@@ -160,14 +167,14 @@ TEST(EvalStore, RebuildsIndexFromLogWhenMissing) {
   {
     EvalStore store(dir);
     for (std::uint64_t i = 0; i < 6; ++i)
-      store.put(i, make_candidate(i), make_evaluation(i));
+      store.put(i, candidate_bytes(i), make_evaluation(i));
   }
   ASSERT_EQ(std::remove((dir + "/evals.idx").c_str()), 0);
   EvalStore store(dir);
   EXPECT_GE(store.stats().index_rebuilds, 1u);
   EXPECT_EQ(store.stats().records, 6u);
   for (std::uint64_t i = 0; i < 6; ++i)
-    EXPECT_TRUE(store.find(i, make_candidate(i)).has_value()) << i;
+    EXPECT_TRUE(store.find(i, candidate_bytes(i)).has_value()) << i;
   // The rebuilt index was persisted: a third open needs no rebuild.
   EXPECT_TRUE(util::file_exists(dir + "/evals.idx"));
 }
@@ -176,7 +183,7 @@ TEST(EvalStore, RejectsCorruptIndexMagicByRebuilding) {
   const std::string dir = fresh_store_dir("idxmagic");
   {
     EvalStore store(dir);
-    store.put(9, make_candidate(9), make_evaluation(9));
+    store.put(9, candidate_bytes(9), make_evaluation(9));
   }
   // Stomp the index magic; the index is a pure cache of the log, so the
   // store must fall back to a rebuild instead of failing the open.
@@ -186,14 +193,14 @@ TEST(EvalStore, RejectsCorruptIndexMagicByRebuilding) {
   std::fclose(f);
   EvalStore store(dir);
   EXPECT_GE(store.stats().index_rebuilds, 1u);
-  EXPECT_TRUE(store.find(9, make_candidate(9)).has_value());
+  EXPECT_TRUE(store.find(9, candidate_bytes(9)).has_value());
 }
 
 // --- Corruption and crash safety --------------------------------------------
 
 TEST(EvalStore, BadLogMagicIsAStoreError) {
   const std::string dir = fresh_store_dir("logmagic");
-  { EvalStore store(dir); store.put(1, make_candidate(1), make_evaluation(1)); }
+  { EvalStore store(dir); store.put(1, candidate_bytes(1), make_evaluation(1)); }
   std::FILE* f = std::fopen((dir + "/evals.log").c_str(), "r+b");
   ASSERT_NE(f, nullptr);
   std::fputs("NOTSTORE", f);
@@ -206,7 +213,7 @@ TEST(EvalStore, TornTailTruncatedLoudlyByDefault) {
   {
     EvalStore store(dir);
     for (std::uint64_t i = 0; i < 4; ++i)
-      store.put(i, make_candidate(i), make_evaluation(i));
+      store.put(i, candidate_bytes(i), make_evaluation(i));
   }
   // Append half a record header: a crash mid-append tears exactly like this.
   const std::string log = dir + "/evals.log";
@@ -226,14 +233,14 @@ TEST(EvalStore, TornTailTruncatedLoudlyByDefault) {
   EXPECT_EQ(store.stats().records, 4u);
   EXPECT_LT(file_size(log), torn_size);  // tail truncated on disk
   for (std::uint64_t i = 0; i < 4; ++i)
-    EXPECT_TRUE(store.find(i, make_candidate(i)).has_value()) << i;
+    EXPECT_TRUE(store.find(i, candidate_bytes(i)).has_value()) << i;
 }
 
 TEST(EvalStore, StrictOpenRejectsTornTailWithStoreError) {
   const std::string dir = fresh_store_dir("strict");
   {
     EvalStore store(dir);
-    store.put(1, make_candidate(1), make_evaluation(1));
+    store.put(1, candidate_bytes(1), make_evaluation(1));
   }
   std::FILE* f = std::fopen((dir + "/evals.log").c_str(), "ab");
   ASSERT_NE(f, nullptr);
@@ -261,7 +268,7 @@ TEST(EvalStore, KillNineMidRunRecoversEveryFullRecord) {
     // index write — exactly what kill -9 during a campaign looks like.
     EvalStore store(dir);
     for (std::uint64_t i = 0; i < 7; ++i)
-      store.put(i, make_candidate(i), make_evaluation(i));
+      store.put(i, candidate_bytes(i), make_evaluation(i));
     ::raise(SIGKILL);
     ::_exit(127);  // unreachable
   }
@@ -275,7 +282,7 @@ TEST(EvalStore, KillNineMidRunRecoversEveryFullRecord) {
   EXPECT_EQ(store.stats().records, 7u);
   EXPECT_EQ(store.stats().torn_bytes_discarded, 0u);
   for (std::uint64_t i = 0; i < 7; ++i) {
-    const auto found = store.find(i, make_candidate(i));
+    const auto found = store.find(i, candidate_bytes(i));
     ASSERT_TRUE(found.has_value()) << i;
     expect_same_evaluation(*found, make_evaluation(i));
   }
@@ -285,7 +292,7 @@ TEST(EvalStore, SecondProcessReadsWhatTheFirstWrote) {
   const std::string dir = fresh_store_dir("twoproc");
   EvalStore writer(dir);
   for (std::uint64_t i = 0; i < 5; ++i)
-    writer.put(i, make_candidate(i), make_evaluation(i));
+    writer.put(i, candidate_bytes(i), make_evaluation(i));
   writer.flush();
 
   const pid_t pid = ::fork();
@@ -298,7 +305,7 @@ TEST(EvalStore, SecondProcessReadsWhatTheFirstWrote) {
       options.read_only = true;
       EvalStore reader(dir, options);
       for (std::uint64_t i = 0; i < 5; ++i) {
-        const auto found = reader.find(i, make_candidate(i));
+        const auto found = reader.find(i, candidate_bytes(i));
         if (!found.has_value() || found->power != make_evaluation(i).power)
           ++failures;
       }
@@ -309,7 +316,7 @@ TEST(EvalStore, SecondProcessReadsWhatTheFirstWrote) {
   }
   // Parent keeps appending while the child reads.
   for (std::uint64_t i = 5; i < 10; ++i)
-    writer.put(i, make_candidate(i), make_evaluation(i));
+    writer.put(i, candidate_bytes(i), make_evaluation(i));
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
@@ -377,6 +384,67 @@ TEST(EvalStore, StoreHitWarmsTheL1) {
   EXPECT_EQ(store.stats().hits, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().insertions, 1u);
+}
+
+// Both layers verify the canonical candidate bytes, so two candidates that
+// differ in a single field and are forced onto one key must miss in the L1
+// and in the L2 (before and after a reopen, i.e. on the pread and the mmap
+// read path) — never answer with the other candidate's evaluation.
+TEST(EvalStore, SingleFieldDifferenceUnderOneKeyMissesInBothLayers) {
+  const model::Architecture arch = fixtures::test_arch(3);
+  const model::ApplicationSet apps = fixtures::small_mixed_apps();
+  Candidate base = fixtures::plain_candidate(arch, apps);
+  base.plan[0].technique = hardening::Technique::kActiveReplication;
+  base.plan[0].replica_pes = {model::ProcessorId{0}, model::ProcessorId{1}};
+  base.plan[0].voter_pe = model::ProcessorId{2};
+  base.plan[1].technique = hardening::Technique::kReexecution;
+  base.plan[1].reexecutions = 1;
+
+  const std::vector<std::pair<std::string, void (*)(Candidate&)>> edits = {
+      {"allocation bit", [](Candidate& c) { c.allocation[1] = false; }},
+      {"drop bit", [](Candidate& c) { c.drop[0] = true; }},
+      {"technique",
+       [](Candidate& c) {
+         c.plan[0].technique = hardening::Technique::kPassiveReplication;
+       }},
+      {"reexecutions", [](Candidate& c) { c.plan[1].reexecutions = 2; }},
+      {"replica PE",
+       [](Candidate& c) { c.plan[0].replica_pes[1] = model::ProcessorId{2}; }},
+      {"voter PE",
+       [](Candidate& c) { c.plan[0].voter_pe = model::ProcessorId{1}; }},
+      {"base-mapping entry",
+       [](Candidate& c) {
+         c.base_mapping[0] = model::ProcessorId{
+             (c.base_mapping[0].value + 1) % 3};
+       }},
+  };
+  const std::uint64_t key = 0x5eed;
+  const std::vector<std::uint8_t> stored = core::encode_candidate(base);
+  const Evaluation evaluation = make_evaluation(4);
+  for (const auto& [field, edit] : edits) {
+    SCOPED_TRACE(field);
+    Candidate other = base;
+    edit(other);
+    ASSERT_FALSE(other == base);
+    const std::vector<std::uint8_t> probe = core::encode_candidate(other);
+
+    core::EvaluationCache cache;
+    cache.insert(key, stored, evaluation);
+    EXPECT_FALSE(cache.find(key, probe).has_value());
+    EXPECT_TRUE(cache.find(key, stored).has_value());
+
+    const std::string dir = fresh_store_dir("field_collision");
+    {
+      EvalStore store(dir);
+      store.put(key, stored, evaluation);
+      EXPECT_FALSE(store.find(key, probe).has_value());
+    }
+    EvalStore reopened(dir);
+    EXPECT_FALSE(reopened.find(key, probe).has_value());
+    const auto found = reopened.find(key, stored);
+    ASSERT_TRUE(found.has_value());
+    expect_same_evaluation(*found, evaluation);
+  }
 }
 
 TEST(EvalStore, WarmStoreReplaysGaCampaignWithoutFreshEvaluations) {

@@ -15,6 +15,7 @@
 
 #include "ftmc/benchmarks/synth.hpp"
 #include "ftmc/core/evaluator.hpp"
+#include "ftmc/core/serialize.hpp"
 #include "ftmc/dse/decoder.hpp"
 #include "ftmc/sched/holistic.hpp"
 #include "ftmc/util/thread_pool.hpp"
@@ -22,6 +23,7 @@
 namespace {
 
 using namespace ftmc;
+using core::encode_candidate;
 
 /// Deterministic, repaired random candidates for one synth benchmark.
 std::vector<core::Candidate> seeded_candidates(
@@ -180,9 +182,10 @@ TEST(EvaluationCache, KeyCollisionDegradesToMiss) {
 
   core::EvaluationCache cache;
   const std::uint64_t key = 0xdeadbeefULL;
-  cache.insert(key, candidates[0], evaluator.evaluate(candidates[0]));
-  EXPECT_TRUE(cache.find(key, candidates[0]).has_value());
-  EXPECT_FALSE(cache.find(key, candidates[1]).has_value());
+  cache.insert(key, encode_candidate(candidates[0]),
+               evaluator.evaluate(candidates[0]));
+  EXPECT_TRUE(cache.find(key, encode_candidate(candidates[0])).has_value());
+  EXPECT_FALSE(cache.find(key, encode_candidate(candidates[1])).has_value());
 }
 
 TEST(EvaluationCache, ClearResetsEntriesAndServesFreshMisses) {
@@ -248,21 +251,20 @@ TEST(EvaluationCache, BytesMatchEntryFootprints) {
   std::size_t expected_bytes = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const core::Evaluation evaluation = evaluator.evaluate(candidates[i]);
-    cache.insert(i, candidates[i], evaluation);
-    expected_bytes +=
-        core::EvaluationCache::entry_footprint(candidates[i], evaluation);
+    cache.insert(i, encode_candidate(candidates[i]), evaluation);
+    expected_bytes += core::EvaluationCache::entry_footprint(
+        encode_candidate(candidates[i]), evaluation);
   }
   EXPECT_EQ(cache.stats().bytes, expected_bytes);
   EXPECT_EQ(cache.stats().entries, candidates.size());
 
   // Overwriting a key swaps footprints instead of double-counting.
   const core::Evaluation other = evaluator.evaluate(candidates[1]);
-  cache.insert(0, candidates[1], other);
-  expected_bytes -=
-      core::EvaluationCache::entry_footprint(candidates[0],
-                                             evaluator.evaluate(candidates[0]));
-  expected_bytes +=
-      core::EvaluationCache::entry_footprint(candidates[1], other);
+  cache.insert(0, encode_candidate(candidates[1]), other);
+  expected_bytes -= core::EvaluationCache::entry_footprint(
+      encode_candidate(candidates[0]), evaluator.evaluate(candidates[0]));
+  expected_bytes += core::EvaluationCache::entry_footprint(
+      encode_candidate(candidates[1]), other);
   EXPECT_EQ(cache.stats().bytes, expected_bytes);
   EXPECT_EQ(cache.stats().entries, candidates.size());
 
@@ -282,7 +284,8 @@ TEST(EvaluationCache, ByteCapacityEvictsAndStaysBounded) {
   // every eviction in this test is forced by bytes alone.
   const std::size_t budget =
       3 * core::EvaluationCache::entry_footprint(
-              candidates[0], reference.evaluate(candidates[0])) +
+              encode_candidate(candidates[0]),
+              reference.evaluate(candidates[0])) +
       16;
   core::EvaluationCache cache(/*capacity=*/1 << 16, /*shards=*/1,
                               /*capacity_bytes=*/budget);
@@ -319,7 +322,8 @@ TEST(EvaluationCache, StatsSnapshotsStayConsistentUnderLoad) {
     evaluations.push_back(reference.evaluate(candidate));
 
   const std::size_t budget = 4 * core::EvaluationCache::entry_footprint(
-                                     unique[0], evaluations[0]);
+                                     encode_candidate(unique[0]),
+                                     evaluations[0]);
   core::EvaluationCache cache(/*capacity=*/8, /*shards=*/4,
                               /*capacity_bytes=*/budget);
 
@@ -338,8 +342,9 @@ TEST(EvaluationCache, StatsSnapshotsStayConsistentUnderLoad) {
   pool.parallel_for(4000, [&](std::size_t i) {
     const std::size_t index = (i * 13) % unique.size();
     const std::uint64_t key = core::candidate_hash(unique[index]);
-    if (!cache.find(key, unique[index]).has_value())
-      cache.insert(key, unique[index], evaluations[index]);
+    const std::vector<std::uint8_t> bytes = encode_candidate(unique[index]);
+    if (!cache.find(key, bytes).has_value())
+      cache.insert(key, bytes, evaluations[index]);
   });
   done.store(true);
   sampler.join();

@@ -203,10 +203,23 @@ TEST(Ga, CacheStatisticsAreReportedAndConsistent) {
   EXPECT_EQ(hits + misses, result.evaluations);
   // The tiny instance converges quickly, so repeats must occur.
   EXPECT_GT(hits, 0u);
-  // The candidate cache's own counters never exceed the combined totals
-  // (the genotype memo answers some repeats before the cache sees them).
-  EXPECT_LE(result.cache.hits, hits);
-  EXPECT_GT(result.cache.lookups(), 0u);
+  // The candidate cache is the only layer that answers repeats, so its own
+  // counters are the per-generation totals.
+  EXPECT_EQ(result.cache.hits, hits);
+  EXPECT_EQ(result.cache.lookups(), result.evaluations);
+}
+
+TEST(Ga, EvictingCacheKeepsTheTrajectory) {
+  // One entry per shard: the run-local cache evicts constantly, which may
+  // only cost hits, never change what the search sees.
+  GaRig rig;
+  auto tiny_cache = tiny_options();
+  tiny_cache.cache_capacity = 1;
+  const GaResult evicting = rig.optimizer.run(tiny_cache);
+  const GaResult roomy = rig.optimizer.run(tiny_options());
+  EXPECT_GT(evicting.cache.evictions, 0u);
+  EXPECT_EQ(roomy.cache.evictions, 0u);
+  expect_same_trajectory(evicting, roomy);
 }
 
 TEST(Ga, ExternalCacheIsSharedAcrossRuns) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 
 #include "ftmc/util/rng.hpp"
+#include "spea2_reference.hpp"
 
 namespace {
 
@@ -148,5 +152,85 @@ TEST_P(Spea2Property, FrontMembersPreferredOverDominated) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Spea2Property,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+enum class SetKind { kUniform, kGrid, kFront, kFrontWithCopies };
+
+/// A random objective set of one of the shapes SPEA2 meets in the GA:
+/// continuous values; values on a 4-level grid (ties in single coordinates
+/// and whole duplicates); a fully non-dominated front (integer coordinates
+/// with a constant sum, exact in doubles); and such a front where a third
+/// of the points repeat earlier ones.
+std::vector<ObjectiveVector> random_set(ftmc::util::Rng& rng, std::size_t n,
+                                        std::size_t dims, SetKind kind) {
+  std::vector<ObjectiveVector> points(n, ObjectiveVector(dims));
+  for (std::size_t i = 0; i < n; ++i) {
+    ObjectiveVector& point = points[i];
+    if (kind == SetKind::kFrontWithCopies && i > 0 && rng.index(3) == 0) {
+      point = points[rng.index(i)];
+      continue;
+    }
+    double sum = 0.0;
+    for (std::size_t d = 0; d < dims; ++d) {
+      switch (kind) {
+        case SetKind::kUniform:
+          point[d] = rng.uniform_real(0, 100);
+          break;
+        case SetKind::kGrid:
+          point[d] = static_cast<double>(rng.index(4));
+          break;
+        case SetKind::kFront:
+        case SetKind::kFrontWithCopies:
+          point[d] = d + 1 == dims ? 3000.0 - sum
+                                   : static_cast<double>(rng.index(1000));
+          sum += point[d];
+          break;
+      }
+    }
+  }
+  return points;
+}
+
+// The O(N^2) fitness against the original full-sort implementation: every
+// fitness bit-for-bit equal and every selection index-identical, over 1-3
+// objectives, N up to 400 and the set shapes of random_set.
+TEST(Spea2Differential, MatchesReferenceBitwise) {
+  const std::size_t sizes[] = {1, 2, 3, 4, 7, 16, 33, 64, 150, 400};
+  const SetKind kinds[] = {SetKind::kUniform, SetKind::kGrid, SetKind::kFront,
+                           SetKind::kFrontWithCopies};
+  std::uint64_t seed = 2024;
+  for (const std::size_t n : sizes)
+    for (std::size_t dims = 1; dims <= 3; ++dims)
+      for (const SetKind kind : kinds) {
+        ++seed;
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", n " +
+                     std::to_string(n) + ", dims " + std::to_string(dims));
+        ftmc::util::Rng rng(seed);
+        const std::vector<ObjectiveVector> points =
+            random_set(rng, n, dims, kind);
+
+        const std::vector<double> fitness = spea2_fitness(points);
+        const std::vector<double> expected =
+            ftmc::dse::reference::spea2_fitness(points);
+        ASSERT_EQ(fitness.size(), expected.size());
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(fitness[i]),
+                    std::bit_cast<std::uint64_t>(expected[i]))
+              << "point " << i;
+
+        // Truncating a wide front costs O(N^3 log N) per removal in both
+        // implementations, so large fronts are only trimmed a little.
+        std::vector<std::size_t> capacities = {n - 1, n, n + 3};
+        if (n <= 64 || kind == SetKind::kUniform || kind == SetKind::kGrid)
+          capacities.insert(capacities.end(), {1, n / 3, n / 2});
+        for (const std::size_t capacity : capacities)
+          ASSERT_EQ(spea2_select(points, capacity),
+                    ftmc::dse::reference::spea2_select(points, capacity))
+              << "capacity " << capacity;
+      }
+}
+
+TEST(Spea2Fitness, DimensionMismatchThrows) {
+  EXPECT_THROW(spea2_fitness({{1, 2}, {1}}), std::invalid_argument);
+}
 
 }  // namespace

@@ -294,7 +294,7 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
   const std::string cache_dir = cli_options.cache_dir;
 
   // Worker fleet: spawn local `ftmc serve` processes and/or connect to
-  // external ones, then evaluate every memo miss remotely.  Workers re-run
+  // external ones, then evaluate every offspring remotely.  Workers re-run
   // the same content-seeded decode, so the campaign trajectory — and the
   // final front — is bitwise identical to the in-process run.
   std::optional<dist::WorkerFleet> fleet;
