@@ -1,18 +1,13 @@
-// A/B measurement of the evaluation memoization layer + scenario
-// parallelism in the DSE hot path (ISSUE 1 acceptance bench):
+// Measurement of the evaluation memoization layers in the DSE hot path:
 //
-//   seed path       cache disabled, Algorithm 1's transition scenarios
-//                   analyzed sequentially inside each candidate evaluation
-//                   (the behavior before the EvaluationCache existed);
 //   cold cache      run-local EvaluationCache shared by all GA workers +
 //                   per-scenario parallelism on the same pool; the cache
-//                   starts empty, so misses pay full price and the gain is
-//                   bounded by the GA's duplicate-candidate rate;
+//                   starts empty, so misses pay full price;
 //   warm cache      the same run against an externally owned, already
 //                   populated cache — the re-exploration regime the layer
 //                   targets (hyperparameter iteration, objective toggles,
 //                   repeated runs on an unchanged model), where nearly every
-//                   evaluation is a hit;
+//                   evaluation is a hit (`warm_speedup` is cold over warm);
 //   cold store      persistent EvalStore (`--cache-dir`) starting empty:
 //                   every evaluation computes and appends to disk — the
 //                   first campaign on a new model pays this;
@@ -126,17 +121,16 @@ int main(int argc, char** argv) {
   const std::size_t threads = env_or("FTMC_THREADS", 0);
   const std::size_t reps = env_or("FTMC_REPS", 3);
 
-  std::cout << "DSE cache/parallelism A/B: " << generations
+  std::cout << "DSE evaluation cache: " << generations
             << " generations, population " << population << ", seed " << seed
             << ", median of " << reps
             << " (FTMC_GENERATIONS / FTMC_POPULATION / FTMC_SEED / "
                "FTMC_THREADS / FTMC_REPS)\n";
 
   util::Table table(std::to_string(generations) +
-                    "-generation synth DSE: seed path vs cache + "
-                    "scenario parallelism");
-  table.set_header({"benchmark", "seed [s]", "cold [s]", "cold speedup",
-                    "cold hits", "warm [s]", "warm speedup", "scenarios/s",
+                    "-generation synth DSE: cold vs warm cache and store");
+  table.set_header({"benchmark", "cold [s]", "cold hits", "warm [s]",
+                    "warm speedup", "scenarios/s",
                     "store cold [s]", "store warm [s]", "store speedup",
                     "best power equal"});
 
@@ -153,11 +147,6 @@ int main(int argc, char** argv) {
     options.seed = seed;
     options.threads = threads;
 
-    dse::GaOptions seed_path = options;
-    seed_path.cache_evaluations = false;
-    seed_path.parallel_scenarios = false;
-
-    const RunOutcome before = run_median(benchmark, seed_path, reps);
     const RunOutcome cold = run_median(benchmark, options, reps);
 
     // Warm regime: an externally owned cache survives across runs; warm it
@@ -195,17 +184,14 @@ int main(int argc, char** argv) {
     const RunOutcome cold_store = median_of(std::move(cold_store_runs));
     const RunOutcome warm_store = median_of(std::move(warm_store_runs));
 
-    const bool equal = same_power(before.best_power, cold.best_power) &&
-                       same_power(before.best_power, warm.best_power) &&
-                       same_power(before.best_power, cold_store.best_power) &&
-                       same_power(before.best_power, warm_store.best_power);
+    const bool equal = same_power(cold.best_power, warm.best_power) &&
+                       same_power(cold.best_power, cold_store.best_power) &&
+                       same_power(cold.best_power, warm_store.best_power);
     table.add_row(
-        {benchmark.name, util::Table::cell(before.seconds, 2),
-         util::Table::cell(cold.seconds, 2),
-         util::Table::cell(before.seconds / cold.seconds, 2) + "x",
+        {benchmark.name, util::Table::cell(cold.seconds, 2),
          util::Table::cell(cold.hit_rate * 100.0, 1) + "%",
          util::Table::cell(warm.seconds, 2),
-         util::Table::cell(before.seconds / warm.seconds, 2) + "x",
+         util::Table::cell(cold.seconds / warm.seconds, 2) + "x",
          util::Table::cell(cold.scenarios_per_second, 0),
          util::Table::cell(cold_store.seconds, 2),
          util::Table::cell(warm_store.seconds, 2),
@@ -216,14 +202,11 @@ int main(int argc, char** argv) {
     json_benchmarks.push(
         obs::Json::object()
             .set("name", benchmark.name)
-            .set("seed_s", obs::Json::number(before.seconds, 4))
             .set("cold_s", obs::Json::number(cold.seconds, 4))
-            .set("cold_speedup",
-                 obs::Json::number(before.seconds / cold.seconds, 2))
             .set("cold_hit_rate", obs::Json::number(cold.hit_rate, 3))
             .set("warm_s", obs::Json::number(warm.seconds, 4))
             .set("warm_speedup",
-                 obs::Json::number(before.seconds / warm.seconds, 2))
+                 obs::Json::number(cold.seconds / warm.seconds, 2))
             .set("scenarios_per_s",
                  obs::Json::number(cold.scenarios_per_second, 0))
             .set("cold_store_s", obs::Json::number(cold_store.seconds, 4))
@@ -238,8 +221,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout
       << "(identical seeds and trajectories in every arm; 'best power "
-         "equal' cross-checks the differential guarantee.  Cold speedup "
-         "is bounded by the GA's duplicate-candidate rate; warm shows the "
+         "equal' cross-checks the differential guarantee.  Warm shows the "
          "steady-state regime of repeated exploration on an unchanged "
          "model.)\n";
   obs::Json summary = obs::Json::object();

@@ -1,16 +1,13 @@
 #include "ftmc/core/mc_analysis.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
-#include <numeric>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
+#include <tuple>
 
 #include "ftmc/obs/metrics.hpp"
 #include "ftmc/obs/trace.hpp"
-#include "ftmc/util/hash.hpp"
 #include "ftmc/util/thread_pool.hpp"
 
 namespace ftmc::core {
@@ -24,11 +21,6 @@ struct AnalysisCounters {
   obs::Counter scenarios{"analysis.scenarios"};
   obs::Counter dedup_hits{"analysis.scenario_dedup_hits"};
   obs::Counter solves{"analysis.scenario_solves"};
-  /// Sparse scenario edits recorded by the arena construction path (each is
-  /// one task whose bounds differ from the all-critical template).
-  obs::Counter bounds_edits{"analysis.bounds_edits"};
-  /// Full per-scenario bounds vectors built by the rebuild reference path.
-  obs::Counter bounds_rebuilds{"analysis.bounds_rebuilds"};
 };
 
 AnalysisCounters& analysis_counters() {
@@ -36,28 +28,12 @@ AnalysisCounters& analysis_counters() {
   return counters;
 }
 
-/// One sparse scenario edit: replace the template bounds at `index`.
-struct ScenarioEdit {
-  std::uint32_t index;
-  sched::ExecBounds bounds;
-  bool operator==(const ScenarioEdit&) const = default;
-};
-
-/// Per-candidate scratch for the arena construction path.  Every container
-/// is cleared (never shrunk) between analyze() calls, so a warmed-up arena
+/// Per-candidate scratch for scenario construction.  Every container is
+/// resized (never shrunk) between analyze() calls, so a warmed-up arena
 /// builds, dedupes, sorts, solves, and merges all scenarios of a candidate
 /// without touching the allocator.
 struct ScenarioArena {
-  struct Slice {
-    std::size_t begin = 0;
-    std::size_t count = 0;
-  };
-  std::vector<sched::ExecBounds> base;   ///< all-critical template
-  std::vector<ScenarioEdit> edits;       ///< slices of per-scenario edits
-  std::vector<Slice> slices;             ///< one per unique scenario
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> index_by_hash;
-  std::vector<std::size_t> order;        ///< similarity-sorted slice indices
-  std::vector<sched::ExecBounds> lanes;  ///< materialized unique scenarios
+  std::vector<sched::ExecBounds> lanes;  ///< triggers x n classified bounds
   std::vector<std::span<const sched::ExecBounds>> lane_views;
   std::vector<sched::ExecBounds> naive_bounds;
   std::vector<sched::AnalysisResult> results;
@@ -180,16 +156,21 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   result.wcrt.assign(n, 0);
   merge_wcrt(result.wcrt, result.normal);
 
-  if (mode == Mode::kNaive) {
-    // Single pessimistic pass: every task of a dropped application gets a
-    // zero BCET (it may silently vanish at any point of the hyperperiod),
-    // every hardened task its full critical bounds.  No chronological
-    // reasoning — this is the estimator Table 2 calls "Naive".
-    std::vector<sched::ExecBounds> bounds(n);
+  // The Naive pass: a single pessimistic pass where every task of a dropped
+  // application gets a zero BCET (it may silently vanish at any point of
+  // the hyperperiod), every hardened task its full critical bounds.  No
+  // chronological reasoning — this is the estimator Table 2 calls "Naive".
+  auto naive_bounds = [&](std::vector<sched::ExecBounds>& bounds) {
+    bounds.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       bounds[i] = critical_bounds(task_of(i), system.info[i]);
       if (drop[apps.task_ref(i).graph]) bounds[i].bcet = 0;
     }
+  };
+
+  if (mode == Mode::kNaive) {
+    std::vector<sched::ExecBounds> bounds;
+    naive_bounds(bounds);
     const auto run = prepared->solve(bounds);
     merge_wcrt(result.wcrt, run);
     result.critical_schedulable = non_dropped_meet_deadlines(apps, run, drop);
@@ -234,7 +215,7 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   if (triggers.empty()) return result;
 
   // Classification of task w in the scenario triggered by v (Algorithm 1
-  // lines 12-27), shared verbatim by both construction paths below.
+  // lines 12-27).
   auto classify = [&](std::size_t w, std::size_t v, model::Time v_min_start,
                       model::Time v_max_finish) -> sched::ExecBounds {
     if (w == v) {
@@ -266,189 +247,51 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
     return critical_bounds(task_of(w), system.info[w]);
   };
 
+  // One lane per trigger in a contiguous buffer.  Sorting the lane views
+  // lexicographically by (wcet, release_cutoff, bcet) makes equal scenarios
+  // adjacent, so std::unique leaves each distinct bounds vector once, in an
+  // order that clusters similar scenarios into the same solve_many chunk
+  // (the batched kernel shares work across similar lanes).
   ArenaLease lease;
   ScenarioArena& arena = *lease;
-  arena.lane_views.clear();
-  // Backing storage of the rebuild reference path (unused by the arena
-  // path); declared here so the views stay valid through the solves.
-  std::vector<std::vector<sched::ExecBounds>> rebuilt;
-
-  if (construction_ == Construction::kArena) {
-    // Arena path: each scenario is the all-critical template plus a sparse
-    // edit list (tasks finished before the trigger, drop-set zeroing,
-    // release cutoffs).  An edit is recorded only when the classified
-    // bounds differ from the template, so two scenarios have equal full
-    // bounds vectors exactly when their edit lists are equal — dedup over
-    // edit lists is equivalent to dedup over full vectors, at a fraction
-    // of the bytes hashed and compared.
-    arena.base.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      arena.base[i] = critical_bounds(task_of(i), system.info[i]);
-    arena.edits.clear();
-    arena.slices.clear();
-    arena.index_by_hash.clear();
-    std::uint64_t edit_count = 0;
-    for (const std::size_t v : triggers) {
-      const model::Time v_min_start = result.normal.windows[v].min_start;
-      const model::Time v_max_finish = result.normal.windows[v].max_finish;
-      const std::size_t begin = arena.edits.size();
-      for (std::size_t w = 0; w < n; ++w) {
-        const sched::ExecBounds bounds =
-            classify(w, v, v_min_start, v_max_finish);
-        if (bounds != arena.base[w])
-          arena.edits.push_back({static_cast<std::uint32_t>(w), bounds});
-      }
-      const std::size_t count = arena.edits.size() - begin;
-      // Hash-keyed dedup, first-occurrence order preserved; exact equality
-      // is verified against every same-hash entry (degrade-to-miss, same
-      // contract as EvaluationCache).
-      const std::uint64_t digest = util::fnv1a_stream(
-          count, [&](util::Fnv1aHasher& hasher, std::size_t i) {
-            const ScenarioEdit& edit = arena.edits[begin + i];
-            hasher.feed(edit.index);
-            hasher.feed(edit.bounds.bcet);
-            hasher.feed(edit.bounds.wcet);
-            hasher.feed(edit.bounds.release_cutoff);
-          });
-      std::vector<std::size_t>& slots = arena.index_by_hash[digest];
-      bool seen = false;
-      for (const std::size_t slot : slots) {
-        const ScenarioArena::Slice& slice = arena.slices[slot];
-        if (slice.count == count &&
-            std::equal(arena.edits.begin() +
-                           static_cast<std::ptrdiff_t>(slice.begin),
-                       arena.edits.begin() +
-                           static_cast<std::ptrdiff_t>(slice.begin + count),
-                       arena.edits.begin() +
-                           static_cast<std::ptrdiff_t>(begin))) {
-          seen = true;
-          break;
-        }
-      }
-      if (seen) {
-        arena.edits.resize(begin);
-        continue;
-      }
-      slots.push_back(arena.slices.size());
-      arena.slices.push_back({begin, count});
-      edit_count += count;
-    }
-    analysis_counters().bounds_edits.add(edit_count);
-    const std::size_t unique = arena.slices.size();
-
-    // Similarity sort (order is observationally free; it clusters nearby
-    // scenarios into the same solve_many chunk for the batched kernel's
-    // cross-lane sharing).  The comparator merge-walks the two edit lists
-    // and compares *effective* values in (wcet, release_cutoff, bcet)
-    // field order; positions edited in neither scenario hold the template
-    // value in both, so skipping them reproduces exactly the order the
-    // full-vector lexicographic sort would produce.
-    arena.order.resize(unique);
-    std::iota(arena.order.begin(), arena.order.end(), std::size_t{0});
-    constexpr std::uint32_t kEnd = std::numeric_limits<std::uint32_t>::max();
-    std::sort(arena.order.begin(), arena.order.end(),
-              [&](std::size_t ia, std::size_t ib) {
-                const ScenarioArena::Slice& sa = arena.slices[ia];
-                const ScenarioArena::Slice& sb = arena.slices[ib];
-                const ScenarioEdit* a = arena.edits.data() + sa.begin;
-                const ScenarioEdit* const ae = a + sa.count;
-                const ScenarioEdit* b = arena.edits.data() + sb.begin;
-                const ScenarioEdit* const be = b + sb.count;
-                while (a != ae || b != be) {
-                  const std::uint32_t ai = a != ae ? a->index : kEnd;
-                  const std::uint32_t bi = b != be ? b->index : kEnd;
-                  const std::uint32_t i = std::min(ai, bi);
-                  const sched::ExecBounds& va =
-                      ai == i ? (a++)->bounds : arena.base[i];
-                  const sched::ExecBounds& vb =
-                      bi == i ? (b++)->bounds : arena.base[i];
-                  if (va.wcet != vb.wcet) return va.wcet < vb.wcet;
-                  if (va.release_cutoff != vb.release_cutoff)
-                    return va.release_cutoff < vb.release_cutoff;
-                  if (va.bcet != vb.bcet) return va.bcet < vb.bcet;
-                }
-                return false;
-              });
-
-    // Materialize each unique scenario once into a contiguous lane buffer
-    // (template copy + sparse edits); solve_many consumes the views with
-    // no per-scenario vector ever built.
-    arena.lanes.resize(unique * n);
-    arena.lane_views.resize(unique);
-    for (std::size_t p = 0; p < unique; ++p) {
-      sched::ExecBounds* const lane = arena.lanes.data() + p * n;
-      std::copy(arena.base.begin(), arena.base.end(), lane);
-      const ScenarioArena::Slice& slice = arena.slices[arena.order[p]];
-      for (std::size_t e = 0; e < slice.count; ++e) {
-        const ScenarioEdit& edit = arena.edits[slice.begin + e];
-        lane[edit.index] = edit.bounds;
-      }
-      arena.lane_views[p] = std::span<const sched::ExecBounds>(lane, n);
-    }
-  } else {
-    // Rebuild reference path: one full bounds vector per scenario, dedup
-    // and sort over whole vectors.  Kept as the differential baseline the
-    // arena path is pinned against (tests) and benchmarked against.
-    rebuilt.reserve(triggers.size());
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> index_by_hash;
-    index_by_hash.reserve(triggers.size());
-    for (const std::size_t v : triggers) {
-      const model::Time v_min_start = result.normal.windows[v].min_start;
-      const model::Time v_max_finish = result.normal.windows[v].max_finish;
-      std::vector<sched::ExecBounds> bounds(n);
-      for (std::size_t w = 0; w < n; ++w)
-        bounds[w] = classify(w, v, v_min_start, v_max_finish);
-      const std::uint64_t digest = util::fnv1a_stream(
-          bounds.size(), [&](util::Fnv1aHasher& hasher, std::size_t i) {
-            hasher.feed(bounds[i].bcet);
-            hasher.feed(bounds[i].wcet);
-            hasher.feed(bounds[i].release_cutoff);
-          });
-      std::vector<std::size_t>& slots = index_by_hash[digest];
-      bool seen = false;
-      for (const std::size_t slot : slots)
-        if (rebuilt[slot] == bounds) {
-          seen = true;
-          break;
-        }
-      if (!seen) {
-        slots.push_back(rebuilt.size());
-        rebuilt.push_back(std::move(bounds));
-      }
-    }
-    analysis_counters().bounds_rebuilds.add(triggers.size());
-    std::sort(rebuilt.begin(), rebuilt.end(),
-              [](const std::vector<sched::ExecBounds>& a,
-                 const std::vector<sched::ExecBounds>& b) {
-                for (std::size_t i = 0; i < a.size(); ++i) {
-                  if (a[i].wcet != b[i].wcet) return a[i].wcet < b[i].wcet;
-                  if (a[i].release_cutoff != b[i].release_cutoff)
-                    return a[i].release_cutoff < b[i].release_cutoff;
-                  if (a[i].bcet != b[i].bcet) return a[i].bcet < b[i].bcet;
-                }
-                return false;
-              });
-    arena.lane_views.resize(rebuilt.size());
-    for (std::size_t p = 0; p < rebuilt.size(); ++p)
-      arena.lane_views[p] = std::span<const sched::ExecBounds>(rebuilt[p]);
+  arena.lanes.resize(triggers.size() * n);
+  arena.lane_views.resize(triggers.size());
+  for (std::size_t t = 0; t < triggers.size(); ++t) {
+    const std::size_t v = triggers[t];
+    const model::Time v_min_start = result.normal.windows[v].min_start;
+    const model::Time v_max_finish = result.normal.windows[v].max_finish;
+    sched::ExecBounds* const lane = arena.lanes.data() + t * n;
+    for (std::size_t w = 0; w < n; ++w)
+      lane[w] = classify(w, v, v_min_start, v_max_finish);
+    arena.lane_views[t] = std::span<const sched::ExecBounds>(lane, n);
   }
+  using LaneView = std::span<const sched::ExecBounds>;
+  std::sort(arena.lane_views.begin(), arena.lane_views.end(),
+            [](LaneView a, LaneView b) {
+              return std::lexicographical_compare(
+                  a.begin(), a.end(), b.begin(), b.end(),
+                  [](const sched::ExecBounds& x, const sched::ExecBounds& y) {
+                    return std::tie(x.wcet, x.release_cutoff, x.bcet) <
+                           std::tie(y.wcet, y.release_cutoff, y.bcet);
+                  });
+            });
+  arena.lane_views.erase(
+      std::unique(arena.lane_views.begin(), arena.lane_views.end(),
+                  [](LaneView a, LaneView b) {
+                    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+                  }),
+      arena.lane_views.end());
 
   const std::size_t unique = arena.lane_views.size();
   analysis_counters().scenarios.add(triggers.size());
   analysis_counters().dedup_hits.add(triggers.size() - unique);
   result.scenario_solves = 2 + unique;
 
-  // The Naive pass: every task at its all-critical bounds, dropped
-  // applications with a zero BCET.
   arena.naive_part.assign(n, 0);
   {
     obs::Span span("analysis.solve");
     analysis_counters().solves.add(1);
-    arena.naive_bounds.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      arena.naive_bounds[i] = critical_bounds(task_of(i), system.info[i]);
-      if (drop[apps.task_ref(i).graph]) arena.naive_bounds[i].bcet = 0;
-    }
+    naive_bounds(arena.naive_bounds);
     const auto run = prepared->solve(arena.naive_bounds);
     for (std::size_t i = 0; i < n; ++i)
       arena.naive_part[i] = run.windows[i].max_finish;

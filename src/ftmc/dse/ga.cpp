@@ -20,20 +20,8 @@ void GaOptions::validate() const {
     throw std::invalid_argument("GaOptions: population must be >= 1");
   if (offspring == 0)
     throw std::invalid_argument("GaOptions: offspring must be >= 1");
-  if (!cache_evaluations && evaluator.cache != nullptr)
-    throw std::invalid_argument(
-        "GaOptions: cache_evaluations=false contradicts the caller-provided "
-        "evaluator.cache — clear one of them (a provided cache is always "
-        "used)");
-  if (cache_evaluations && cache_capacity == 0)
-    throw std::invalid_argument(
-        "GaOptions: cache_capacity must be >= 1 while cache_evaluations is "
-        "set (use cache_evaluations=false to disable memoization)");
-  if (!parallel_scenarios && evaluator.scenario_pool != nullptr)
-    throw std::invalid_argument(
-        "GaOptions: parallel_scenarios=false contradicts the caller-provided "
-        "evaluator.scenario_pool — clear one of them (a provided pool is "
-        "always used)");
+  if (cache_capacity == 0)
+    throw std::invalid_argument("GaOptions: cache_capacity must be >= 1");
   if (!checkpoint_path.empty() && checkpoint_every == 0)
     throw std::invalid_argument(
         "GaOptions: checkpoint_every must be >= 1 when checkpoint_path is "
@@ -88,17 +76,16 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
   util::ThreadPool pool(options.threads);
 
   // Run-local memoization + scenario parallelism: all workers share one
-  // cache and, when enabled, fan each candidate's Algorithm-1 scenarios
-  // out over the same (nesting-safe) pool.  Caller-provided cache/pool in
-  // options.evaluator take precedence.
+  // cache and fan each candidate's Algorithm-1 scenarios out over the same
+  // (nesting-safe) pool.  Caller-provided cache/pool in options.evaluator
+  // take precedence.
   std::optional<core::EvaluationCache> cache;
   core::Evaluator::Options evaluator_options = options.evaluator;
-  if (options.cache_evaluations && evaluator_options.cache == nullptr) {
-    cache.emplace(std::max<std::size_t>(options.cache_capacity, 1));
+  if (evaluator_options.cache == nullptr) {
+    cache.emplace(options.cache_capacity);
     evaluator_options.cache = &*cache;
   }
-  if (options.parallel_scenarios &&
-      evaluator_options.scenario_pool == nullptr)
+  if (evaluator_options.scenario_pool == nullptr)
     evaluator_options.scenario_pool = &pool;
   const core::Evaluator evaluator(*arch_, *apps_, *backend_,
                                   evaluator_options);

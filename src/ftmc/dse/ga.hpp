@@ -74,30 +74,13 @@ struct GaOptions {
   std::size_t threads = 0;  ///< 0 = hardware concurrency
   /// Bi-objective power/service exploration (Figure 5) vs. power only.
   bool optimize_service = true;
-  /// Memoize evaluations in an EvaluationCache shared by all GA workers.
-  /// The cached value is exactly what evaluation would have produced, so
-  /// the search trajectory is identical either way (guarded by the cache
-  /// differential tests).
-  ///
-  /// Precedence (enforced by validate()): a caller-provided
-  /// `evaluator.cache` is used as-is and `cache_capacity` is then unused;
-  /// with no caller cache, the GA builds a run-local one of
-  /// `cache_capacity` entries.  Setting cache_evaluations=false while also
-  /// providing `evaluator.cache` is a contradiction and validate() rejects
-  /// it — there are no silent "ignored when set" rules.
-  bool cache_evaluations = true;
-  /// Entry bound of the run-local cache (the only in-process evaluation
-  /// memo; a recurring genotype is decoded again and answered there).
+  /// Entry bound of the run-local EvaluationCache that all GA workers
+  /// share (the only in-process evaluation memo; a recurring genotype is
+  /// decoded again and answered there).  A caller-provided
+  /// `evaluator.cache` is used as-is instead, and a caller-provided
+  /// `evaluator.scenario_pool` replaces the GA's own pool for Algorithm 1's
+  /// scenario fan-out.  Neither choice changes the trajectory.
   std::size_t cache_capacity = 1 << 16;
-  /// Fan Algorithm 1's transition scenarios out over the same worker pool
-  /// that evaluates candidates (nesting-safe; drains generation tails when
-  /// there are fewer pending candidates than threads).
-  ///
-  /// Precedence (enforced by validate()): a caller-provided
-  /// `evaluator.scenario_pool` is used as-is; with none, the GA fans out
-  /// over its own pool.  parallel_scenarios=false plus a caller pool is a
-  /// contradiction and validate() rejects it.
-  bool parallel_scenarios = true;
   VariationOptions variation;
   Decoder::Options decoder;
   core::Evaluator::Options evaluator;

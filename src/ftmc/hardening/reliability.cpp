@@ -2,18 +2,25 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace ftmc::hardening {
 
 model::Time scaled_time(const model::Processor& processor,
-                        model::Time nominal) noexcept {
+                        model::Time nominal) {
   if (nominal <= 0) return 0;
-  return static_cast<model::Time>(
-      std::ceil(static_cast<double>(nominal) * processor.speed_factor));
+  const double scaled =
+      std::ceil(static_cast<double>(nominal) * processor.speed_factor);
+  if (!model::fits_in_time(scaled))
+    throw std::overflow_error(
+        "scaled_time: " + std::to_string(nominal) + "us at speed factor " +
+        std::to_string(processor.speed_factor) + " on processor '" +
+        processor.name + "' overflows model::Time");
+  return static_cast<model::Time>(scaled);
 }
 
 double execution_failure_probability(const model::Processor& processor,
-                                     model::Time nominal) noexcept {
+                                     model::Time nominal) {
   const model::Time exec = scaled_time(processor, nominal);
   if (exec <= 0 || processor.fault_rate <= 0.0) return 0.0;
   return -std::expm1(-processor.fault_rate * static_cast<double>(exec));

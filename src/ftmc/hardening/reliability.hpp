@@ -27,14 +27,15 @@
 
 namespace ftmc::hardening {
 
-/// Execution time of a nominal duration on a concrete PE.
+/// Execution time of a nominal duration on a concrete PE.  Throws
+/// std::overflow_error when the scaled time does not fit in model::Time.
 model::Time scaled_time(const model::Processor& processor,
-                        model::Time nominal) noexcept;
+                        model::Time nominal);
 
 /// P[single execution of `nominal` time units on `processor` is hit by at
 /// least one transient fault].
 double execution_failure_probability(const model::Processor& processor,
-                                     model::Time nominal) noexcept;
+                                     model::Time nominal);
 
 /// P[no correct majority] for replicas with individual failure
 /// probabilities `pf` (Poisson-binomial over <= ~8 replicas).  A majority

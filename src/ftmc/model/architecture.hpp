@@ -54,8 +54,9 @@ class Architecture {
   double bandwidth() const noexcept { return bandwidth_; }
 
   /// Fabric latency for transferring `bytes` between two distinct PEs;
-  /// zero for intra-PE communication (handled by callers).
-  Time transfer_time(std::uint64_t bytes) const noexcept;
+  /// zero for intra-PE communication (handled by callers).  Throws
+  /// std::overflow_error when the latency does not fit in Time.
+  Time transfer_time(std::uint64_t bytes) const;
 
  private:
   std::vector<Processor> processors_;

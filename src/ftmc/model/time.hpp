@@ -20,6 +20,13 @@ inline constexpr Time kMicrosecond = 1;
 inline constexpr Time kMillisecond = 1000 * kMicrosecond;
 inline constexpr Time kSecond = 1000 * kMillisecond;
 
+/// True when a non-negative, already rounded duration in microseconds
+/// converts to Time.  Converting a double outside Time's range (or NaN) is
+/// undefined behaviour, so check with this before such a cast.
+constexpr bool fits_in_time(double us) noexcept {
+  return us >= 0.0 && us < 0x1p63;  // 2^63 = max() + 1, exact in a double
+}
+
 /// Converts an analysis/simulation time to milliseconds for reporting.
 constexpr double to_milliseconds(Time t) noexcept {
   return static_cast<double>(t) / static_cast<double>(kMillisecond);

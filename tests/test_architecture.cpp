@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 using ftmc::model::Architecture;
 using ftmc::model::ArchitectureBuilder;
@@ -28,6 +33,8 @@ TEST(Architecture, RejectsEmpty) {
 TEST(Architecture, RejectsBadBandwidth) {
   EXPECT_THROW(Architecture({pe("a")}, 0.0), std::invalid_argument);
   EXPECT_THROW(Architecture({pe("a")}, -1.0), std::invalid_argument);
+  EXPECT_THROW(Architecture({pe("a")}, kNaN), std::invalid_argument);
+  EXPECT_THROW(Architecture({pe("a")}, kInf), std::invalid_argument);
 }
 
 TEST(Architecture, RejectsDuplicateNames) {
@@ -45,17 +52,30 @@ TEST(Architecture, RejectsNegativePower) {
   bad = pe("a");
   bad.dynamic_power = -0.5;
   EXPECT_THROW(Architecture({bad}, 1.0), std::invalid_argument);
+  bad.dynamic_power = kNaN;
+  EXPECT_THROW(Architecture({bad}, 1.0), std::invalid_argument);
+  bad = pe("a");
+  bad.static_power = kInf;
+  EXPECT_THROW(Architecture({bad}, 1.0), std::invalid_argument);
 }
 
 TEST(Architecture, RejectsNegativeFaultRate) {
   Processor bad = pe("a");
   bad.fault_rate = -1e-9;
   EXPECT_THROW(Architecture({bad}, 1.0), std::invalid_argument);
+  bad.fault_rate = kNaN;
+  EXPECT_THROW(Architecture({bad}, 1.0), std::invalid_argument);
+  bad.fault_rate = kInf;
+  EXPECT_THROW(Architecture({bad}, 1.0), std::invalid_argument);
 }
 
 TEST(Architecture, RejectsNonPositiveSpeed) {
   Processor bad = pe("a");
   bad.speed_factor = 0.0;
+  EXPECT_THROW(Architecture({bad}, 1.0), std::invalid_argument);
+  bad.speed_factor = kNaN;
+  EXPECT_THROW(Architecture({bad}, 1.0), std::invalid_argument);
+  bad.speed_factor = kInf;
   EXPECT_THROW(Architecture({bad}, 1.0), std::invalid_argument);
 }
 
@@ -71,6 +91,9 @@ TEST(Architecture, TransferTimeRoundsUp) {
   EXPECT_EQ(arch.transfer_time(4), 1);
   EXPECT_EQ(arch.transfer_time(5), 2);
   EXPECT_EQ(arch.transfer_time(400), 100);
+  // A latency beyond Time's range is an error, not a wrapped cast.
+  const Architecture slow({pe("a"), pe("b")}, 1e-300);
+  EXPECT_THROW((void)slow.transfer_time(1), std::overflow_error);
 }
 
 TEST(ArchitectureBuilder, AddsPrototypesWithSuffixes) {

@@ -19,7 +19,6 @@
 #include "ftmc/dse/campaign.hpp"
 #include "ftmc/sched/holistic.hpp"
 #include "ftmc/util/file_io.hpp"
-#include "ftmc/util/thread_pool.hpp"
 #include "helpers.hpp"
 
 namespace {
@@ -314,7 +313,6 @@ TEST(CheckpointResume, OptionsMismatchNamesTheField) {
   // Trajectory-neutral knobs must NOT block a resume.
   auto retuned = options;
   retuned.threads = 1;
-  retuned.cache_evaluations = false;
   retuned.checkpoint_path.clear();
   retuned.resume = &snapshot;
   EXPECT_NO_THROW((void)rig.optimizer.run(retuned));
@@ -334,19 +332,7 @@ TEST(CheckpointFormat, TrajectoryMismatchReportsFirstDifferingField) {
 
 TEST(GaOptionsValidate, RejectsContradictoryKnobs) {
   GaRig rig;
-  core::EvaluationCache cache;
   auto options = tiny_options();
-  options.cache_evaluations = false;
-  options.evaluator.cache = &cache;
-  EXPECT_THROW(rig.optimizer.run(options), std::invalid_argument);
-
-  util::ThreadPool pool(1);
-  options = tiny_options();
-  options.parallel_scenarios = false;
-  options.evaluator.scenario_pool = &pool;
-  EXPECT_THROW(rig.optimizer.run(options), std::invalid_argument);
-
-  options = tiny_options();
   options.cache_capacity = 0;
   EXPECT_THROW(rig.optimizer.run(options), std::invalid_argument);
 

@@ -163,15 +163,11 @@ TEST(KernelFuzz, SweepAndLaneDriverBitwiseIdentical) {
 #endif
 }
 
-// Cross-commit golden digest: every other kernel test here is a within-build
-// differential, so none of them would notice the production path's output
-// drifting between commits.  This pins an FNV-1a digest of McAnalysis WCRT
-// vectors, normal-state windows and verdicts over the generator's first 40
-// seeds (fixed base 2024, independent of FTMC_FUZZ_SEED), both modes, bus
-// contention off and on.  The digest is over host-order bytes, so it is
-// only meaningful on a little-endian 64-bit ABI.
-TEST(KernelFuzz, McAnalysisGoldenDigest) {
-  util::Fnv1aHasher hasher;
+/// Calls `visit` with every McAnalysis result the cross-commit goldens pin:
+/// the generator's first 40 seeds (fixed base 2024, independent of
+/// FTMC_FUZZ_SEED), bus contention off and on, both modes.
+template <typename Visit>
+void for_each_golden_result(Visit visit) {
   for (std::uint64_t seed = 2024; seed < 2024 + 40; ++seed) {
     util::Rng rng(seed * 0x9E3779B97F4A7C15ULL + 1);
     const benchmarks::Benchmark benchmark = random_benchmark(rng);
@@ -182,77 +178,47 @@ TEST(KernelFuzz, McAnalysisGoldenDigest) {
       const sched::HolisticAnalysis backend(options);
       const core::McAnalysis analysis(backend);
       for (const auto mode : {core::McAnalysis::Mode::kProposed,
-                              core::McAnalysis::Mode::kNaive}) {
-        const auto result =
-            analysis.analyze(benchmark.arch, fx.system, fx.candidate.drop,
-                             mode);
-        hasher.feed_range(std::span<const model::Time>(result.wcrt));
-        for (const sched::TaskWindow& window : result.normal.windows) {
-          hasher.feed(window.min_start);
-          hasher.feed(window.min_finish);
-          hasher.feed(window.max_start);
-          hasher.feed(window.max_finish);
-          hasher.feed(window.schedulable);
-        }
-        hasher.feed(result.normal.schedulable);
-        hasher.feed(result.normal_schedulable);
-        hasher.feed(result.critical_schedulable);
-        hasher.feed(static_cast<std::uint64_t>(result.scenario_count));
-      }
+                              core::McAnalysis::Mode::kNaive})
+        visit(analysis.analyze(benchmark.arch, fx.system, fx.candidate.drop,
+                               mode));
     }
   }
+}
+
+// Cross-commit golden digest: every other kernel test here is a within-build
+// differential, so none of them would notice the production path's output
+// drifting between commits.  This pins an FNV-1a digest of McAnalysis WCRT
+// vectors, normal-state windows and verdicts.  The digest is over host-order
+// bytes, so it is only meaningful on a little-endian 64-bit ABI.
+TEST(KernelFuzz, McAnalysisGoldenDigest) {
+  util::Fnv1aHasher hasher;
+  for_each_golden_result([&](const core::McAnalysisResult& result) {
+    hasher.feed_range(std::span<const model::Time>(result.wcrt));
+    for (const sched::TaskWindow& window : result.normal.windows) {
+      hasher.feed(window.min_start);
+      hasher.feed(window.min_finish);
+      hasher.feed(window.max_start);
+      hasher.feed(window.max_finish);
+      hasher.feed(window.schedulable);
+    }
+    hasher.feed(result.normal.schedulable);
+    hasher.feed(result.normal_schedulable);
+    hasher.feed(result.critical_schedulable);
+    hasher.feed(static_cast<std::uint64_t>(result.scenario_count));
+  });
   EXPECT_EQ(hasher.digest(), 0x76b21769b2737936ULL);
 }
 
-// The allocation-free arena construction (sparse edits over the all-critical
-// template, dedup on edit slices, contiguous lane materialization) must be a
-// pure transport optimization: on every random input, both Proposed and
-// Naive results are bitwise identical to the straightforward
-// build-a-vector-per-scenario path, with the same solve counts.
-TEST(KernelFuzz, ArenaAndRebuildConstructionBitwiseIdentical) {
-  const std::size_t iters = env_size("FTMC_FUZZ_ITERS", 40);
-  const std::uint64_t base_seed = env_u64("FTMC_FUZZ_SEED", 2024);
-  util::ThreadPool pool(4);
-  for (std::size_t iter = 0; iter < iters; ++iter) {
-    const std::uint64_t seed = base_seed + iter;
-    SCOPED_TRACE("iteration " + std::to_string(iter) + ", seed " +
-                 std::to_string(seed) + " (rerun just this input with " +
-                 "FTMC_FUZZ_SEED=" + std::to_string(seed) +
-                 " FTMC_FUZZ_ITERS=1)");
-    util::Rng rng(seed * 0x9E3779B97F4A7C15ULL + 2);
-    const benchmarks::Benchmark benchmark = random_benchmark(rng);
-    const CandidateFixture fx = make_candidate(benchmark, rng);
-
-    sched::HolisticAnalysis::Options regime;
-    regime.bus_contention = rng.chance(0.5);
-    regime.precedence_aware = rng.chance(0.8);
-    const sched::HolisticAnalysis backend(regime);
-
-    const core::McAnalysis arena(backend);
-    const core::McAnalysis rebuild(
-        backend, sched::PriorityPolicy::kRateMonotonic,
-        core::McAnalysis::Construction::kRebuild);
-    util::ThreadPool* maybe_pool = rng.chance(0.5) ? &pool : nullptr;
-    for (const auto mode : {core::McAnalysis::Mode::kProposed,
-                            core::McAnalysis::Mode::kNaive}) {
-      SCOPED_TRACE(mode == core::McAnalysis::Mode::kProposed ? "proposed"
-                                                             : "naive");
-      const auto reference = rebuild.analyze(
-          benchmark.arch, fx.system, fx.candidate.drop, mode, maybe_pool);
-      const auto arena_result = arena.analyze(
-          benchmark.arch, fx.system, fx.candidate.drop, mode, maybe_pool);
-      expect_same_mc_result(reference, arena_result);
-      EXPECT_EQ(reference.scenario_solves, arena_result.scenario_solves);
-    }
-    if (::testing::Test::HasFailure()) break;  // one seed is enough to debug
-  }
-
-#if !defined(FTMC_OBS_DISABLED)
-  // Both construction paths must actually have run.
-  const obs::MetricsSnapshot snapshot = obs::snapshot();
-  EXPECT_GT(snapshot.value_of("analysis.bounds_edits"), 0u);
-  EXPECT_GT(snapshot.value_of("analysis.bounds_rebuilds"), 0u);
-#endif
+// Cross-commit pin on scenario dedup: the digest above covers scenario_count
+// but not how many unique scenarios reach the solver, so a construction
+// change that dedups more or less would go unnoticed.
+TEST(KernelFuzz, McAnalysisSolveCountGolden) {
+  util::Fnv1aHasher hasher;
+  for_each_golden_result([&](const core::McAnalysisResult& result) {
+    hasher.feed(static_cast<std::uint64_t>(result.scenario_count));
+    hasher.feed(static_cast<std::uint64_t>(result.scenario_solves));
+  });
+  EXPECT_EQ(hasher.digest(), 0xb8f74baf9da8368eULL);
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 
 #include "ftmc/benchmarks/cruise.hpp"
 #include "ftmc/benchmarks/dream.hpp"
+#include "ftmc/core/evaluator.hpp"
+#include "ftmc/sched/holistic.hpp"
+#include "ftmc/sim/monte_carlo.hpp"
 #include "helpers.hpp"
 
 namespace {
@@ -264,6 +268,52 @@ TEST(TextFormat, FileRoundTrip) {
   EXPECT_EQ(spec.apps.task_count(), apps.task_count());
   EXPECT_THROW(io::parse_system_file(path + ".does-not-exist"),
                std::runtime_error);
+}
+
+// A speed factor the text format accepts but whose scaled execution times do
+// not fit in model::Time must fail `analyze` and `simulate` with a named
+// overflow error (it used to report a 0us WCRT and segfault, respectively).
+TEST(TextFormat, SpeedOverflowFailsAnalyzeAndSimulate) {
+  std::ifstream in(std::string(FTMC_SOURCE_DIR) +
+                   "/examples/systems/demo.ftmc");
+  std::stringstream demo;
+  demo << in.rdbuf();
+  std::string text = demo.str();
+  const std::string nominal = "fault_rate 2e-9 speed 1.0 }";
+  const std::size_t at = text.find(nominal, text.find("processor big0"));
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, nominal.size(),
+               "fault_rate 2e-9 speed 9223372036854775807 }");
+  const auto spec = parse_system_string(text);
+  ASSERT_TRUE(spec.candidate.has_value());
+  const core::Candidate& candidate = *spec.candidate;
+
+  const auto expect_named_overflow = [](const auto& run) {
+    try {
+      run();
+      FAIL() << "expected std::overflow_error";
+    } catch (const std::overflow_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("'big0'"), std::string::npos) << what;
+      EXPECT_NE(what.find("overflows model::Time"), std::string::npos)
+          << what;
+    }
+  };
+  const sched::HolisticAnalysis backend;
+  const core::Evaluator evaluator(spec.arch, spec.apps, backend);
+  expect_named_overflow([&] { (void)evaluator.evaluate(candidate); });
+
+  const auto system = hardening::apply_hardening(
+      spec.apps, candidate.plan, candidate.base_mapping,
+      spec.arch.processor_count());
+  sim::MonteCarloOptions options;
+  options.profiles = 4;
+  options.threads = 1;
+  expect_named_overflow([&] {
+    (void)sim::monte_carlo_wcrt(spec.arch, system, candidate.drop,
+                                sched::assign_priorities(system.apps),
+                                options);
+  });
 }
 
 TEST(TextFormat, CandidateMustComeLast) {

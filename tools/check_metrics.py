@@ -106,6 +106,21 @@ SCHED_KERNEL_ARM_KEYS = (
     "scenarios_per_s",
 )
 
+# Required keys of every per-benchmark entry in a `dse_cache` bench summary
+# (bench/bench_dse_cache.cpp): the cold/warm cache and store arms, with the
+# warm arms reported against the cold ones.
+DSE_CACHE_ARM_KEYS = (
+    "cold_s",
+    "cold_hit_rate",
+    "warm_s",
+    "warm_speedup",
+    "scenarios_per_s",
+    "cold_store_s",
+    "warm_store_s",
+    "store_speedup",
+    "warm_store_hit_rate",
+)
+
 errors: list[str] = []
 
 
@@ -252,7 +267,9 @@ def check_bench_output(path: str) -> None:
         fail(path, "summary must be an object with a string 'bench' key")
         return
     if summary["bench"] == "sched_kernel":
-        check_sched_kernel_summary(path, summary)
+        check_arm_summary(path, summary, SCHED_KERNEL_ARM_KEYS, "identical")
+    elif summary["bench"] == "dse_cache":
+        check_arm_summary(path, summary, DSE_CACHE_ARM_KEYS, "equal")
     elif summary["bench"] == "serve":
         check_serve_summary(path, summary)
     elif summary["bench"] == "distributed":
@@ -288,24 +305,29 @@ def check_distributed_summary(path: str, summary: dict) -> None:
     gated_speedup(path, summary, "speedup", 2.0)
 
 
-def check_sched_kernel_summary(path: str, summary: dict) -> None:
+def check_arm_summary(path: str, summary: dict, arm_keys: tuple,
+                      same_key: str) -> None:
+    """A bench summary with one entry per benchmark: every entry must carry
+    all `arm_keys` as numbers, and `same_key` must be true on the summary
+    and on every entry (the arms agree on their results)."""
+    name = summary["bench"]
     benchmarks = summary.get("benchmarks")
     if not isinstance(benchmarks, list) or not benchmarks:
-        fail(path, "sched_kernel summary needs a non-empty 'benchmarks' list")
+        fail(path, f"{name} summary needs a non-empty 'benchmarks' list")
         return
-    if summary.get("identical") is not True:
-        fail(path, "sched_kernel arms are not bitwise identical")
+    if summary.get(same_key) is not True:
+        fail(path, f"{name} arms disagree ({same_key!r} is not true)")
     for index, entry in enumerate(benchmarks):
         if not isinstance(entry, dict):
             fail(path, f"benchmarks[{index}] is not an object")
             continue
         label = entry.get("name", f"benchmarks[{index}]")
-        for key in SCHED_KERNEL_ARM_KEYS:
+        for key in arm_keys:
             value = entry.get(key)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 fail(path, f"{label}: arm key {key!r} missing or not numeric")
-        if entry.get("identical") is not True:
-            fail(path, f"{label}: WCRT checksums differ across kernel arms")
+        if entry.get(same_key) is not True:
+            fail(path, f"{label}: results differ across arms")
 
 
 def fnv1a64(data: bytes) -> int:

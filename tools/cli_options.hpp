@@ -227,8 +227,6 @@ struct CampaignOptions {
   std::size_t population = 40;
   std::uint64_t seed = 42;
   std::vector<std::uint64_t> seeds;  ///< one island/shard per seed
-  bool no_cache = false;
-  bool sequential_scenarios = false;
   bool no_dropping = false;
   bool power_only = false;
 
@@ -258,8 +256,6 @@ struct CampaignOptions {
     campaign.population = parser.size("population", 40);
     campaign.seed = parser.u64("seed", 42);
     campaign.seeds = parser.u64_list("seeds");
-    campaign.no_cache = parser.flag("no-cache");
-    campaign.sequential_scenarios = parser.flag("sequential-scenarios");
     campaign.no_dropping = parser.flag("no-dropping");
     campaign.power_only = parser.flag("power-only");
     campaign.max_seconds = parser.f64("max-seconds", 0.0);

@@ -10,7 +10,7 @@
 //       --seeds=A,B,... (multi-seed campaign) --threads=N (hardware)
 //       --checkpoint=FILE --checkpoint-every=N --resume=FILE
 //       --max-seconds=S --max-evaluations=N --retries=N
-//       --no-cache --sequential-scenarios --no-dropping --power-only
+//       --no-dropping --power-only
 //       --out=<file> --front-json=<file>
 //   ftmc campaign <system.ftmc> [options]    distributed island campaign
 //       everything optimize takes, plus --workers=N --worker-hosts=H:P,...
@@ -87,9 +87,7 @@ int usage() {
       "  optimize  genetic design-space exploration\n"
       "            [--generations=N] [--population=N] [--seed=S]\n"
       "            [--seeds=A,B,...]  (multi-seed campaign, merged front)\n"
-      "            [--threads=N] [--no-cache] [--sequential-scenarios]\n"
-      "            [--no-dropping] [--power-only] [--out=FILE]\n"
-
+      "            [--threads=N] [--no-dropping] [--power-only] [--out=FILE]\n"
       "            [--telemetry-jsonl=FILE]  (per-generation stats stream)\n"
       "            [--front-json=FILE]       (final front as JSON)\n"
       "            [--max-seconds=S] [--max-evaluations=N] [--retries=N]\n"
@@ -271,8 +269,6 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
   options.offspring = options.population;
   options.seed = cli_options.seed;
   options.threads = common.threads;
-  options.cache_evaluations = !cli_options.no_cache;
-  options.parallel_scenarios = !cli_options.sequential_scenarios;
   options.optimize_service = !cli_options.power_only;
   if (cli_options.no_dropping) {
     options.decoder.allow_dropping = false;
