@@ -70,7 +70,6 @@ dse::CampaignOptions campaign_options(std::size_t islands,
     options.seeds.push_back(11 * (i + 1));
   options.migration_every = generations / 2;
   options.migration_size = 2;
-  options.parallel_islands = true;
   return options;
 }
 

@@ -482,6 +482,10 @@ void EvalStore::flush() {
   if (options_.read_only || log_fd_ < 0) return;
   if (::fsync(log_fd_) != 0)
     fail("cannot fsync evaluation store log", log_path());
+  // Nothing added since the last index write: the index on disk is current
+  // up to its covered mark, and sibling records past it are found by the
+  // next open's tail scan.
+  if (overlay_.empty()) return;
   persist_index_locked();
   update_mapped_gauge_locked();
 }

@@ -24,6 +24,12 @@ struct CampaignCounters {
   obs::Counter migrants{"dse.migration.migrants"};
 };
 
+/// Cap on the doubling retry delay.
+constexpr double kMaxBackoffSeconds = 5.0;
+/// An island whose epoch-duration EWMA exceeds this factor times the fleet
+/// mean is counted in `dse.campaign.stragglers`.
+constexpr double kStragglerFactor = 3.0;
+
 CampaignCounters& counters() {
   static CampaignCounters instance;
   return instance;
@@ -108,128 +114,19 @@ CampaignResult Campaign::run(const CampaignOptions& options) const {
   const std::vector<std::uint64_t> seeds =
       options.seeds.empty() ? std::vector<std::uint64_t>{options.ga.seed}
                             : options.seeds;
-  if (options.migration_every > 0) return run_islands(options, seeds);
-  return run_shards(options, seeds);
-}
-
-CampaignResult Campaign::run_shards(
-    const CampaignOptions& options,
-    const std::vector<std::uint64_t>& seeds) const {
-  const GeneticOptimizer optimizer(*arch_, *apps_, *backend_);
-  const auto campaign_start = std::chrono::steady_clock::now();
-
-  CampaignResult campaign;
-  bool stop_hit = false;
-  bool budget_hit = false;
-  std::size_t completed_evaluations = 0;  // finished shards only
-  std::size_t shard_evaluations = 0;      // current attempt, via telemetry
-
-  const auto elapsed_seconds = [&]() {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         campaign_start)
-        .count();
-  };
-  // Polled by the GA at generation boundaries: the in-flight generation
-  // always completes (and checkpoints) before the campaign winds down.
-  const auto should_stop = [&]() {
-    if (options.stop_requested && options.stop_requested()) {
-      stop_hit = true;
-      return true;
-    }
-    if (options.max_seconds > 0.0 &&
-        elapsed_seconds() >= options.max_seconds) {
-      budget_hit = true;
-      return true;
-    }
-    if (options.max_evaluations > 0 &&
-        completed_evaluations + shard_evaluations >=
-            options.max_evaluations) {
-      budget_hit = true;
-      return true;
-    }
-    return false;
-  };
-
-  for (std::size_t shard = 0; shard < seeds.size(); ++shard) {
-    if (should_stop()) break;
-    counters().shards.add(1);
-
-    const std::string checkpoint_path =
-        shard_checkpoint_path(options.checkpoint_path, shard, seeds.size());
-    ShardResult shard_result;
-    shard_result.seed = seeds[shard];
-
-    double backoff = options.retry_backoff_seconds;
-    for (std::size_t attempt = 0;; ++attempt) {
-      GaOptions ga = options.ga;
-      ga.seed = seeds[shard];
-      ga.checkpoint_path = checkpoint_path;
-      ga.checkpoint_every = options.checkpoint_every;
-      ga.checkpoint_keep = options.checkpoint_keep;
-      ga.stop_requested = should_stop;
-      shard_evaluations = 0;
-      ga.on_generation = [&, shard](const GenerationStats& stats) {
-        shard_evaluations += stats.evaluations;
-        if (options.on_generation) options.on_generation(shard, stats);
-      };
-
-      // A fresh executor per attempt: a retry after a worker loss must not
-      // reuse the connection that just died.
-      std::unique_ptr<Executor> executor;
-      if (options.executor_factory) {
-        executor = options.executor_factory(shard);
-        ga.executor = executor.get();
-      }
-
-      // First attempt resumes only on request; retries always pick up the
-      // latest snapshot of the failed attempt (identical trajectory by the
-      // resume guarantee), or restart when checkpointing is off.
-      std::optional<Checkpoint> snapshot;
-      const bool want_resume = attempt > 0 || options.resume;
-      if (want_resume && !checkpoint_path.empty() &&
-          util::file_exists(checkpoint_path)) {
-        snapshot = load_checkpoint(checkpoint_path);
-        ga.resume = &*snapshot;
-        shard_result.resumed = shard_result.resumed || attempt == 0;
-      }
-
-      try {
-        shard_result.result = optimizer.run(ga);
-        break;
-      } catch (const CheckpointError&) {
-        throw;  // defective snapshot / options mismatch: never retried
-      } catch (const std::invalid_argument&) {
-        throw;  // configuration error: retrying cannot help
-      } catch (const std::exception&) {
-        if (attempt >= options.max_retries) throw;
-        counters().retries.add(1);
-        ++shard_result.retries;
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::min(backoff, options.max_backoff_seconds)));
-        backoff *= 2.0;
-      }
-    }
-
-    completed_evaluations += shard_result.result.evaluations;
-    shard_evaluations = 0;
-    const bool interrupted = shard_result.result.interrupted;
-    campaign.shards.push_back(std::move(shard_result));
-    if (interrupted) break;
-  }
-
-  campaign.interrupted = stop_hit;
-  campaign.budget_exhausted = budget_hit;
-  campaign.evaluations = completed_evaluations;
-  campaign.front = merge_fronts(campaign.shards);
-  return campaign;
-}
-
-CampaignResult Campaign::run_islands(
-    const CampaignOptions& options,
-    const std::vector<std::uint64_t>& seeds) const {
   const GeneticOptimizer optimizer(*arch_, *apps_, *backend_);
   const std::size_t islands = seeds.size();
   const std::size_t generations = options.ga.generations;
+  // Without a migration cadence the whole run is one epoch: no barrier, so
+  // every seed runs to the end in seed order.
+  const std::size_t epoch_length = options.migration_every > 0
+                                       ? options.migration_every
+                                       : generations;
+  // Islands with their own executors (remote workers) evaluate elsewhere,
+  // so running their epochs concurrently is what buys the speedup;
+  // in-process islands already saturate the machine through the evaluator
+  // pool and run one after another.
+  const bool concurrent = options.executor_factory != nullptr;
   const auto campaign_start = std::chrono::steady_clock::now();
 
   // Per-island state.  Snapshots carry the trajectory between epochs (and
@@ -252,7 +149,10 @@ CampaignResult Campaign::run_islands(
   std::atomic<bool> stop_hit{false};
   std::atomic<bool> budget_hit{false};
 
+  // Sticky once fired: no island starts or resumes after a stop or an
+  // exhausted budget, even if the user's predicate turns false again.
   const auto global_should_stop = [&]() {
+    if (stop_hit.load() || budget_hit.load()) return true;
     if (options.stop_requested) {
       std::lock_guard<std::mutex> lock(user_mutex);
       if (options.stop_requested()) {
@@ -280,20 +180,18 @@ CampaignResult Campaign::run_islands(
   };
 
   CampaignResult campaign;
-  std::size_t epoch = 0;
-  while (!global_should_stop()) {
-    ++epoch;
+  for (std::size_t epoch = 1;; ++epoch) {
     const std::uint64_t target = std::min<std::uint64_t>(
-        generations,
-        static_cast<std::uint64_t>(epoch) * options.migration_every);
+        generations, static_cast<std::uint64_t>(epoch) * epoch_length);
     std::vector<double> epoch_seconds(islands, 0.0);
 
     // One island, one epoch: run the GA until its reported generation
     // reaches the epoch target (the stop predicate fires at the boundary,
     // after the target generation's stats were delivered), capturing an
-    // in-memory snapshot to continue from after the barrier.
+    // in-memory snapshot to continue from after the barrier when a later
+    // epoch will resume from it.
     const auto run_island = [&](std::size_t island) {
-      if (done[island]) return;
+      if (done[island] || global_should_stop()) return;
       if (!started[island]) {
         started[island] = 1;
         counters().shards.add(1);
@@ -309,7 +207,7 @@ CampaignResult Campaign::run_islands(
         ga.checkpoint_path = checkpoint_path;
         ga.checkpoint_every = options.checkpoint_every;
         ga.checkpoint_keep = options.checkpoint_keep;
-        ga.capture_final_snapshot = true;
+        ga.capture_final_snapshot = target < generations;
         ga.stop_requested = [&, island] {
           return last_reported[island].load() >= target ||
                  global_should_stop();
@@ -369,7 +267,7 @@ CampaignResult Campaign::run_islands(
           counters().retries.add(1);
           ++results[island].retries;
           std::this_thread::sleep_for(std::chrono::duration<double>(
-              std::min(backoff, options.max_backoff_seconds)));
+              std::min(backoff, kMaxBackoffSeconds)));
           backoff *= 2.0;
         }
       }
@@ -387,7 +285,7 @@ CampaignResult Campaign::run_islands(
               .count();
     };
 
-    if (options.parallel_islands) {
+    if (concurrent) {
       std::vector<std::thread> threads;
       threads.reserve(islands);
       std::mutex failure_mutex;
@@ -427,7 +325,7 @@ CampaignResult Campaign::run_islands(
       const double fleet_mean = fleet_sum / static_cast<double>(fleet_count);
       for (std::size_t island = 0; island < islands; ++island)
         if (epoch_seconds[island] > 0.0 &&
-            epoch_ewma[island] > options.straggler_factor * fleet_mean)
+            epoch_ewma[island] > kStragglerFactor * fleet_mean)
           counters().stragglers.add(1);
     }
 

@@ -33,7 +33,8 @@ constexpr double to_milliseconds(Time t) noexcept {
 }
 
 /// Least common multiple of a set of periods (the hyperperiod).
-/// Throws on empty input or non-positive periods.
+/// Throws on empty input or non-positive periods, and std::overflow_error
+/// when the multiple does not fit in Time.
 inline Time hyperperiod(std::span<const Time> periods) {
   if (periods.empty())
     throw std::invalid_argument("hyperperiod: no periods");
@@ -41,7 +42,10 @@ inline Time hyperperiod(std::span<const Time> periods) {
   for (Time period : periods) {
     if (period <= 0)
       throw std::invalid_argument("hyperperiod: non-positive period");
-    result = std::lcm(result, period);
+    if (__builtin_mul_overflow(result, period / std::gcd(result, period),
+                               &result))
+      throw std::overflow_error("hyperperiod: the periods' least common "
+                                "multiple overflows model::Time");
   }
   return result;
 }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "ftmc/core/exec_model.hpp"
 #include "ftmc/hardening/reliability.hpp"
@@ -79,7 +80,24 @@ PreparedSim::PreparedSim(const model::Architecture& arch,
   n_tasks_ = apps.task_count();
   hyperperiods_ = options.hyperperiods;
   hyper_ = apps.hyperperiod();
-  sim_end_ = hyper_ * static_cast<model::Time>(hyperperiods_);
+  // Every hyperperiod boundary and every job costs at least one event, so
+  // a problem whose job table exceeds the event budget could never finish
+  // a run: refuse it before anything of that size is allocated.
+  const std::size_t event_budget = RunOptions{}.max_events;
+  const auto horizon = [&] {
+    return std::to_string(hyperperiods_) + " hyperperiod(s) of " +
+           std::to_string(hyper_) + "us";
+  };
+  const auto over_budget = [&](const std::string& what) {
+    return std::runtime_error("PreparedSim: the " + what + " of " +
+                              horizon() + " exceed the event budget (" +
+                              std::to_string(event_budget) + " events)");
+  };
+  if (hyperperiods_ > event_budget) throw over_budget("boundaries");
+  if (__builtin_mul_overflow(hyper_, static_cast<model::Time>(hyperperiods_),
+                             &sim_end_))
+    throw std::overflow_error("PreparedSim: " + horizon() +
+                              " overflow model::Time");
 
   // ---- Static per-node tables (legacy construction order) ----------------
   struct MessageSpec {
@@ -193,6 +211,11 @@ PreparedSim::PreparedSim(const model::Architecture& arch,
   }
 
   // ---- Job table skeleton ------------------------------------------------
+  std::size_t events = hyperperiods_;  // each term is below 2^63: no wrap
+  for (std::size_t i = 0; i < total_; ++i) {
+    events += static_cast<std::size_t>(sim_end_ / period_[i]);
+    if (events > event_budget) throw over_budget("jobs");
+  }
   job_base_.resize(total_);
   for (std::size_t i = 0; i < total_; ++i) {
     job_base_[i] = job_flat_.size();

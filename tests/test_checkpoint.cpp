@@ -16,9 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "ftmc/core/evaluator.hpp"
 #include "ftmc/dse/campaign.hpp"
+#include "ftmc/dse/executor.hpp"
 #include "ftmc/sched/holistic.hpp"
 #include "ftmc/util/file_io.hpp"
+#include "ftmc/util/thread_pool.hpp"
 #include "helpers.hpp"
 
 namespace {
@@ -553,6 +556,89 @@ TEST(Campaign, ResumeContinuesInterruptedShards) {
     remove_rotation(
         dse::shard_checkpoint_path(first_leg.checkpoint_path, i,
                                    shard_count));
+}
+
+// The budget is checked before an island starts or resumes, as it is at
+// generation boundaries: once island 0 spends it, islands 1 and 2 never
+// start their first epoch.
+TEST(Campaign, IslandBudgetStopsBeforeTheNextIslandStarts) {
+  GaRig rig;
+  const Campaign campaign(rig.arch, rig.apps, rig.backend);
+  auto options = campaign_options();
+  options.migration_every = 2;
+  options.max_evaluations = 1;  // hit right after island 0's first batch
+  const auto result = campaign.run(options);
+  EXPECT_TRUE(result.budget_exhausted);
+  EXPECT_FALSE(result.interrupted);
+  ASSERT_EQ(result.shards.size(), 1u);
+  EXPECT_EQ(result.shards[0].seed, options.seeds[0]);
+  EXPECT_EQ(result.evaluations, options.ga.population);
+  EXPECT_EQ(result.migration_epochs, 0u);
+}
+
+/// In-process evaluation that fails its `fail_batch`-th batch with
+/// ExecutorError, the transport failure a lost worker produces.
+class FailingBatchExecutor final : public dse::Executor {
+ public:
+  FailingBatchExecutor(const GaRig& rig, std::size_t fail_batch)
+      : evaluator_(rig.arch, rig.apps, rig.backend),
+        pool_(1),
+        inner_(evaluator_, pool_),
+        fail_batch_(fail_batch) {}
+
+  const char* name() const noexcept override { return "failing-batch"; }
+  void evaluate(const std::vector<dse::EvalRequest>& requests,
+                std::vector<dse::EvalOutcome>& outcomes) override {
+    if (++batches_ == fail_batch_)
+      throw dse::ExecutorError("injected worker loss");
+    inner_.evaluate(requests, outcomes);
+  }
+
+ private:
+  core::Evaluator evaluator_;
+  util::ThreadPool pool_;
+  dse::InProcessExecutor inner_;
+  std::size_t fail_batch_;
+  std::size_t batches_ = 0;
+};
+
+// A retried island resumes from its checkpoint and replays the restored
+// history through the GA; the campaign forwards each generation once.
+TEST(Campaign, RetryForwardsEveryGenerationOnce) {
+  GaRig rig;
+  const Campaign campaign(rig.arch, rig.apps, rig.backend);
+
+  auto clean = campaign_options();
+  clean.seeds = {11};
+  const auto reference = campaign.run(clean);
+
+  auto faulty = clean;
+  faulty.checkpoint_path = temp_path("retry_telemetry");
+  remove_rotation(faulty.checkpoint_path);
+  // The first executor fails its third batch (generation 2's offspring),
+  // after the generation-1 snapshot is on disk; the retry's executor does
+  // not fail.
+  std::size_t executors = 0;
+  faulty.executor_factory = [&](std::size_t) {
+    return std::unique_ptr<dse::Executor>(
+        std::make_unique<FailingBatchExecutor>(rig, ++executors == 1 ? 3 : 0));
+  };
+  std::vector<std::size_t> forwarded;
+  faulty.on_generation = [&](std::size_t, const GenerationStats& stats) {
+    forwarded.push_back(stats.generation);
+  };
+  const auto recovered = campaign.run(faulty);
+
+  ASSERT_EQ(recovered.shards.size(), 1u);
+  EXPECT_EQ(recovered.shards[0].retries, 1u);
+  EXPECT_EQ(executors, 2u);
+  std::vector<std::size_t> expected;
+  for (std::size_t g = 0; g <= clean.ga.generations; ++g)
+    expected.push_back(g);
+  EXPECT_EQ(forwarded, expected);
+  expect_same_front(reference.front, recovered.front);
+  EXPECT_EQ(reference.evaluations, recovered.evaluations);
+  remove_rotation(faulty.checkpoint_path);
 }
 
 TEST(Campaign, ShardCheckpointPaths) {

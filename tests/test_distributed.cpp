@@ -99,7 +99,6 @@ void use_fleet(dse::CampaignOptions& options, dist::WorkerFleet& fleet,
             fleet, fleet.assign(island), system_path,
             seeds[island % seeds.size()]));
   };
-  options.parallel_islands = true;
 }
 
 void expect_same_front(const std::vector<dse::Individual>& a,
@@ -273,7 +272,6 @@ TEST(Distributed, RetriesIslandAfterMidCallTransportFailure) {
           std::make_unique<FlakyExecutor>(std::move(remote), tripped));
     return std::unique_ptr<dse::Executor>(std::move(remote));
   };
-  flaky_run.parallel_islands = true;
   const std::uint64_t retries_before =
       obs::snapshot().value_of("dse.campaign.retries");
   const dse::CampaignResult survived = campaign.run(flaky_run);

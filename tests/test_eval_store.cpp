@@ -162,6 +162,45 @@ TEST(EvalStore, ReadOnlyRejectsPut) {
 
 // --- Index lifecycle --------------------------------------------------------
 
+std::uint64_t inode_of(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return static_cast<std::uint64_t>(st.st_ino);
+}
+
+// The index is rewritten (atomically: a new file renamed over the old one)
+// only when this process added records.
+TEST(EvalStore, LookupOnlyOpenLeavesTheIndexFile) {
+  const std::string dir = fresh_store_dir("lookup_only");
+  const std::string index = dir + "/evals.idx";
+  const std::string pin = dir + "/pinned.idx";
+  {
+    EvalStore store(dir);
+    for (std::uint64_t i = 0; i < 4; ++i)
+      store.put(i, candidate_bytes(i), make_evaluation(i));
+  }
+  // A second link keeps the written inode allocated, so a rewrite can never
+  // land on a recycled inode number.
+  std::remove(pin.c_str());
+  ASSERT_EQ(::link(index.c_str(), pin.c_str()), 0);
+  const std::uint64_t written = inode_of(index);
+  {
+    EvalStore store(dir);
+    EXPECT_TRUE(store.find(2, candidate_bytes(2)).has_value());
+    store.flush();
+  }
+  EXPECT_EQ(inode_of(index), written);
+  {
+    EvalStore store(dir);
+    store.put(9, candidate_bytes(9), make_evaluation(9));
+  }
+  EXPECT_NE(inode_of(index), written);
+  std::remove(pin.c_str());
+  EvalStore reopened(dir);
+  EXPECT_EQ(reopened.stats().records, 5u);
+  EXPECT_EQ(reopened.stats().index_rebuilds, 0u);
+}
+
 TEST(EvalStore, RebuildsIndexFromLogWhenMissing) {
   const std::string dir = fresh_store_dir("rebuild");
   {

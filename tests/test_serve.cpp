@@ -373,7 +373,8 @@ TEST(Server, ErrorPathsFailTheRequestNotTheServer) {
 
 // Integer params must be exact integers in range: a fraction is not
 // truncated and an out-of-range value is not cast (UB for 1e20), both are a
-// bad_request naming the field.  Numeric ids of any size echo without UB.
+// bad_request naming the field, as is a hyperperiod count whose simulation
+// could never finish.  Numeric ids of any size echo without UB.
 TEST(Server, NonIntegralOrOutOfRangeParamsAreBadRequests) {
   const std::string path = write_demo_system("int_params");
   Server server(demo_options(path));
@@ -383,6 +384,12 @@ TEST(Server, NonIntegralOrOutOfRangeParamsAreBadRequests) {
       {R"({"seed": 18446744073709551616})", "params.seed"},
       {R"({"profiles": -1})", "params.profiles"},
       {R"({"hyperperiods": "2"})", "params.hyperperiods"},
+      // Job tables over the simulation event budget are refused before
+      // they are allocated.
+      {R"({"profiles": 1, "hyperperiods": 20000000})",
+       "exceed the event budget"},
+      {R"({"profiles": 1, "hyperperiods": 18446744073709551615})",
+       "exceed the event budget"},
   };
   for (const auto& [params, field] : cases) {
     SCOPED_TRACE(params);

@@ -273,12 +273,17 @@ TEST(TextFormat, FileRoundTrip) {
 // A speed factor the text format accepts but whose scaled execution times do
 // not fit in model::Time must fail `analyze` and `simulate` with a named
 // overflow error (it used to report a 0us WCRT and segfault, respectively).
-TEST(TextFormat, SpeedOverflowFailsAnalyzeAndSimulate) {
+/// examples/systems/demo.ftmc as text, for mutation tests.
+std::string demo_text() {
   std::ifstream in(std::string(FTMC_SOURCE_DIR) +
                    "/examples/systems/demo.ftmc");
   std::stringstream demo;
   demo << in.rdbuf();
-  std::string text = demo.str();
+  return demo.str();
+}
+
+TEST(TextFormat, SpeedOverflowFailsAnalyzeAndSimulate) {
+  std::string text = demo_text();
   const std::string nominal = "fault_rate 2e-9 speed 1.0 }";
   const std::size_t at = text.find(nominal, text.find("processor big0"));
   ASSERT_NE(at, std::string::npos);
@@ -314,6 +319,71 @@ TEST(TextFormat, SpeedOverflowFailsAnalyzeAndSimulate) {
                                 sched::assign_priorities(system.apps),
                                 options);
   });
+}
+
+// A 99999999999ms period stretches the hyperperiod to 2e16us, whose job
+// table would hold about 1e11 jobs: more than the event budget lets a run
+// process, so simulation refuses it before allocating the table.
+TEST(TextFormat, HugeHyperperiodFailsSimulateUpFront) {
+  std::string text = demo_text();
+  const std::string nominal = "period 100ms";
+  const std::size_t at = text.find(nominal);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, nominal.size(), "period 99999999999ms");
+  const auto spec = parse_system_string(text);
+  ASSERT_TRUE(spec.candidate.has_value());
+  const core::Candidate& candidate = *spec.candidate;
+  const auto system = hardening::apply_hardening(
+      spec.apps, candidate.plan, candidate.base_mapping,
+      spec.arch.processor_count());
+  sim::MonteCarloOptions options;
+  options.profiles = 1;
+  options.threads = 1;
+  try {
+    (void)sim::monte_carlo_wcrt(spec.arch, system, candidate.drop,
+                                sched::assign_priorities(system.apps),
+                                options);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("exceed the event budget"), std::string::npos)
+        << what;
+  }
+
+  // A hyperperiod that fits in model::Time, simulated for a horizon that
+  // does not.
+  std::string long_periods = demo_text();
+  for (std::size_t at = long_periods.find("period ");
+       at != std::string::npos; at = long_periods.find("period ", at + 1))
+    long_periods.replace(at, long_periods.find('\n', at) - at,
+                         "period 4000000000000000000us");
+  const auto long_spec = parse_system_string(long_periods);
+  const auto long_system = hardening::apply_hardening(
+      long_spec.apps, candidate.plan, candidate.base_mapping,
+      long_spec.arch.processor_count());
+  options.hyperperiods = 3;
+  try {
+    (void)sim::monte_carlo_wcrt(long_spec.arch, long_system, candidate.drop,
+                                sched::assign_priorities(long_system.apps),
+                                options);
+    FAIL() << "expected std::overflow_error";
+  } catch (const std::overflow_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("overflow model::Time"), std::string::npos) << what;
+  }
+
+  // Coprime periods whose least common multiple does not fit in
+  // model::Time fail with a named error instead of wrapping.
+  std::string coprime = demo_text();
+  for (const char* period : {"period 4000000001us", "period 4000000003us"})
+    coprime.replace(coprime.find("period 200ms"), 12, period);
+  try {
+    (void)parse_system_string(coprime);
+    FAIL() << "expected an overflow error";
+  } catch (const std::exception& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("overflows model::Time"), std::string::npos) << what;
+  }
 }
 
 TEST(TextFormat, CandidateMustComeLast) {

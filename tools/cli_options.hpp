@@ -226,7 +226,7 @@ struct CampaignOptions {
   std::size_t generations = 60;
   std::size_t population = 40;
   std::uint64_t seed = 42;
-  std::vector<std::uint64_t> seeds;  ///< one island/shard per seed
+  std::vector<std::uint64_t> seeds;  ///< one island per seed
   bool no_dropping = false;
   bool power_only = false;
 
@@ -245,9 +245,10 @@ struct CampaignOptions {
   std::size_t workers = 0;                ///< local `ftmc serve` spawns
   std::vector<std::string> worker_hosts;  ///< external host:port workers
   std::size_t worker_threads = 0;         ///< --threads for spawned workers
-  std::size_t migration_every = 0;  ///< generations per island epoch
-  std::size_t migration_size = 4;   ///< migrants per island per barrier
-  double straggler_factor = 3.0;    ///< epoch-EWMA straggler threshold
+  /// Generations per island epoch; 0 = one epoch (shards that never
+  /// migrate), which is what `optimize` always runs.
+  std::size_t migration_every = 0;
+  std::size_t migration_size = 4;  ///< migrants per island per barrier
 
   static CampaignOptions parse(OptionParser& parser,
                                bool distributed = false) {
@@ -269,11 +270,10 @@ struct CampaignOptions {
       campaign.workers = parser.size("workers", 0);
       campaign.worker_hosts = parser.str_list("worker-hosts");
       campaign.worker_threads = parser.size("worker-threads", 0);
-      // Campaigns run the island model by default: a migration barrier
-      // every 10 generations (0 restores independent shards).
+      // Campaigns migrate by default: a barrier every 10 generations
+      // (0 = one epoch, the same run `optimize` does).
       campaign.migration_every = parser.size("migration-every", 10);
       campaign.migration_size = parser.size("migration-size", 4);
-      campaign.straggler_factor = parser.f64("straggler-factor", 3.0);
     }
     return campaign;
   }

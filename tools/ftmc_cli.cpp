@@ -14,8 +14,8 @@
 //       --out=<file> --front-json=<file>
 //   ftmc campaign <system.ftmc> [options]    distributed island campaign
 //       everything optimize takes, plus --workers=N --worker-hosts=H:P,...
-//       --worker-threads=N --migration-every=N (10) --migration-size=N (4)
-//       --straggler-factor=F (3.0)
+//       --worker-threads=N --migration-every=N (10; 0 = one epoch)
+//       --migration-size=N (4)
 //
 // All option parsing goes through cli::OptionParser (tools/cli_options.hpp):
 // each subcommand registers exactly the options it reads and everything
@@ -99,8 +99,8 @@ int usage() {
       "            [--worker-hosts=H:P,...]  (connect to external workers)\n"
       "            [--worker-threads=N]  (per spawned worker)\n"
       "            [--migration-every=N]  (island epoch length, default 10;\n"
-      "            0 = independent shards) [--migration-size=N] (default 4)\n"
-      "            [--straggler-factor=F]  (slow-island EWMA threshold)\n"
+      "            0 = one epoch, no migration, as optimize runs)\n"
+      "            [--migration-size=N] (default 4)\n"
       "checkpointing (optimize/campaign; SIGINT/SIGTERM drain the in-flight\n"
       "generation, write a final snapshot, and exit 0):\n"
       "  --checkpoint=FILE     write ftmc.ckpt.v1 snapshots here\n"
@@ -283,7 +283,6 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
   campaign_options.resume = !common.resume.empty();
   campaign_options.migration_every = cli_options.migration_every;
   campaign_options.migration_size = cli_options.migration_size;
-  campaign_options.straggler_factor = cli_options.straggler_factor;
   const std::string jsonl_path = cli_options.telemetry_jsonl;
   const std::string out_path = cli_options.out;
   const std::string front_path = cli_options.front_json;
@@ -292,7 +291,8 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
   // Worker fleet: spawn local `ftmc serve` processes and/or connect to
   // external ones, then evaluate every offspring remotely.  Workers re-run
   // the same content-seeded decode, so the campaign trajectory — and the
-  // final front — is bitwise identical to the in-process run.
+  // final front — is bitwise identical to the in-process run.  With an
+  // executor per island the campaign runs the islands concurrently.
   std::optional<dist::WorkerFleet> fleet;
   if (distributed &&
       (cli_options.workers > 0 || !cli_options.worker_hosts.empty())) {
@@ -316,10 +316,6 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
               *fleet, fleet->assign(island), system_path,
               island_seeds[island % island_seeds.size()]));
     };
-    // Each island drives its own worker; running them concurrently is what
-    // buys the distributed speedup (results are island-indexed, so the
-    // merged front does not depend on completion order).
-    campaign_options.parallel_islands = true;
   }
 
   // Persistent L2 evaluation store: one store (per system, keyed by the
